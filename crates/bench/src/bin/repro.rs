@@ -46,9 +46,10 @@
 //!
 //! `--window-us N` overrides the simulator's 100 µs scheduling window.
 //! Unlike `--shards` it is part of the simulated machine — a different
-//! window perturbs scheduling decisions and therefore the tables — but
-//! like `--shards` it stays out of the run-cache key, so cached results
-//! are only reused within one invocation's window setting.
+//! window perturbs scheduling decisions and therefore the tables — so
+//! a non-default window is part of the run-cache key: a `--resume`
+//! journal or trace store never serves results computed at another
+//! window.
 //!
 //! `repro serve` runs the sweep-as-a-service daemon: stored traces stay
 //! resident in memory, one `POST /v1/eval` replays one sweep cell, and
@@ -144,6 +145,41 @@ use ccnuma_workloads::{Scale, WorkloadKind};
 use std::fs::File;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// Every subcommand's usage, printed by `--help` (and to stderr when no
+/// experiment is named).
+const USAGE: &str = "\
+usage: repro <experiment>... [--scale quick|standard|full] [--jobs N]
+                             [--shards N] [--window-us N] [--topology PRESET]
+                             [--obs-dir DIR] [--profile] [--trace-dir DIR]
+                             [--faults SCENARIO] [--chaos-seed N]
+                             [--resume DIR] [--soft-deadline SECS]
+                             [--hard-deadline SECS] [-v|--verbose] [-q|--quiet]
+       repro all [--scale ...] [--jobs N] [--resume DIR]
+       repro bench [--scale quick|standard|full] [--shards N] [--window-us N]
+                   [--out FILE] [--baseline FILE] [--check]
+                   [--tolerance PCT] [--history FILE]
+       repro obs report DIR [--out FILE]
+       repro trace <capture|info|verify> [WORKLOAD|SLUG]...
+                   [--scale S] [--trace-dir DIR] [--json]
+       repro trace ls [--json] [--trace-dir DIR]
+       repro trace fsck [--repair] [--trace-dir DIR]
+       repro trace gc --max-bytes N [--trace-dir DIR]
+       repro sweep (--workload NAME | --trace SLUG) [--scale S]
+                   [--trace-dir DIR] [--jobs N] [--shards N] [--window-us N]
+                   [--out FILE] [--csv FILE] [--profile FILE] [--resume DIR]
+                   [--soft-deadline SECS] [--policies P,..] [--triggers N,..]
+                   [--samples N,..] [--latencies NS,..] [--move-costs US,..]
+                   [--topologies T,..]
+       repro serve [--addr HOST:PORT] [--trace-dir DIR] [--results-dir DIR]
+                   [--workers N] [--queue-depth N] [--prewarm SLUG,..]
+                   [--trace-budget-bytes N] [--max-cells N]
+                   [--max-body-bytes N] [--max-sweeps N]
+                   [--soft-deadline SECS] [--hard-deadline SECS]
+       repro loadgen --url HOST:PORT [--concurrency N] [--duration SECS]
+                     [--trace NAME] [--out FILE]
+       repro --list | repro --list-faults | repro --help
+";
 
 /// Default store directory for the `trace` and `sweep` subcommands.
 const DEFAULT_TRACE_DIR: &str = "artifacts/traces";
@@ -1151,6 +1187,10 @@ fn main() {
                 print_fault_list();
                 return;
             }
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return;
+            }
             "--faults" => {
                 fault_scenario = match it.next().map(|v| v.parse::<FaultScenario>()) {
                     Some(Ok(sc)) => Some(sc),
@@ -1260,15 +1300,7 @@ fn main() {
         std::process::exit(2);
     }
     if names.is_empty() {
-        eprintln!(
-            "usage: repro <experiment>... [--scale quick|standard|full] [--jobs N] \
-             [--shards N] [--window-us N] [--topology PRESET] [--obs-dir DIR] [--profile] \
-             [--trace-dir DIR] [--faults SCENARIO] [--chaos-seed N] [--resume DIR] \
-             [--soft-deadline SECS] [--hard-deadline SECS] [-v|-q]"
-        );
-        eprintln!("       repro all | repro bench | repro obs report | repro trace | repro sweep");
-        eprintln!("       repro serve | repro loadgen");
-        eprintln!("       repro --list | repro --list-faults");
+        eprint!("{USAGE}");
         std::process::exit(2);
     }
 

@@ -8,6 +8,26 @@ use ccnuma_obs::{Profiler, Recorder, SampleView};
 use ccnuma_trace::{MissRecord, MissSource, TraceBuilder};
 use ccnuma_types::{MemAccess, Ns, Pid, ProcId};
 
+/// The miss record of `access` by `pid` on `proc` at `time`.
+pub(super) fn miss_record(
+    time: Ns,
+    proc: ProcId,
+    pid: Pid,
+    access: &MemAccess,
+    source: MissSource,
+) -> MissRecord {
+    MissRecord {
+        time,
+        proc,
+        pid,
+        page: access.page,
+        kind: access.kind,
+        mode: access.mode,
+        class: access.class,
+        source,
+    }
+}
+
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// Snapshots the cumulative simulator state at sim time `now` for the
     /// epoch sampler. Only called on instrumented runs (`R::ENABLED`).
@@ -26,25 +46,6 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             policy_overhead: self.breakdown.policy_overhead(),
         }
     }
-    pub(super) fn record_of(
-        &self,
-        cpu: usize,
-        pid: Pid,
-        access: &MemAccess,
-        source: MissSource,
-    ) -> MissRecord {
-        MissRecord {
-            time: self.clocks[cpu],
-            proc: ProcId(cpu as u16),
-            pid,
-            page: access.page,
-            kind: access.kind,
-            mode: access.mode,
-            class: access.class,
-            source,
-        }
-    }
-
     pub(super) fn finish(mut self) -> RunReport {
         let sim_time = self.clocks.iter().copied().fold(Ns::ZERO, Ns::max);
         let cpu_time = self.clocks.iter().copied().sum::<Ns>();

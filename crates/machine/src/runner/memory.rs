@@ -1,14 +1,24 @@
 //! The memory-access path: one reference through TLB, L2, coherence and
 //! the NUMA memory system, charging every nanosecond to the breakdown.
 
+use super::accounting::miss_record;
 use super::Sim;
 use ccnuma_faults::FaultInjector;
 use ccnuma_obs::{Phase, Profiler, Recorder};
 use ccnuma_trace::MissSource;
-use ccnuma_types::{AccessKind, MemAccess, NodeId, Ns, Pid, ProcId, SimError};
+use ccnuma_types::{AccessKind, MemAccess, NodeId, Ns, Pid, ProcId, SimError, VirtPage};
 
 /// TLB refill cost (software-reloaded TLB handler, kernel time).
 pub(super) const TLB_REFILL: Ns = Ns(250);
+
+/// Where a first touch from `my_node` places `page`: round-robin by page
+/// number over `rr_nodes` nodes when set, else on the toucher's node.
+pub(super) fn first_touch_home(rr_nodes: Option<u16>, page: VirtPage, my_node: NodeId) -> NodeId {
+    match rr_nodes {
+        Some(n) => NodeId((page.0 % u64::from(n)) as u16),
+        None => my_node,
+    }
+}
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     pub(super) fn node_of(&self, cpu: usize) -> NodeId {
@@ -32,41 +42,14 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         // mappings are never torn down, only repointed — so the
         // first-touch probe is needed only on a miss.
         if !self.tlb[cpu].access(access.page) {
-            // First touch: allocate/map the page. If the whole machine
-            // is out of frames, reclaim replicated pages (the §7.2.3
-            // pressure response) before giving up.
-            if self.pager.mapping_node(pid, access.page).is_none() {
-                let home = match self.rr_nodes {
-                    Some(n) => NodeId((access.page.0 % u64::from(n)) as u16),
-                    None => my_node,
-                };
-                if self.pager.first_touch(pid, access.page, home).is_none() {
-                    for n in 0..self.spec.config.nodes {
-                        let freed = self.pager.reclaim_replicas_on(NodeId(n), 8);
-                        if F::ENABLED {
-                            self.fault_stats.reclaimed_frames += u64::from(freed);
-                        }
-                    }
-                    if self.pager.first_touch(pid, access.page, home).is_none() {
-                        // Out of memory even after shedding every
-                        // replica: surface the typed error instead of
-                        // panicking.
-                        return Err(SimError::OutOfMemory {
-                            page: access.page,
-                            node: home,
-                        });
-                    }
-                }
-            }
+            let home = first_touch_home(self.rr_nodes, access.page, my_node);
+            self.first_touch(pid, access.page, home)?;
             self.breakdown
                 .add_busy(ccnuma_types::Mode::Kernel, TLB_REFILL);
             self.clocks[cpu] += TLB_REFILL;
-            let rec = self.record_of(cpu, pid, &access, MissSource::Tlb);
+            let rec = miss_record(self.clocks[cpu], proc, pid, &access, MissSource::Tlb);
             self.obs.on_tlb_fill(&rec, TLB_REFILL);
-            if let Some(t) = &mut self.trace {
-                t.push(rec);
-            }
-            self.drive_policy(cpu, pid, my_node, proc, &rec)?;
+            self.observe(&rec)?;
         }
 
         // L2 + coherence.
@@ -111,11 +94,35 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             self.local_lat_n += 1;
         }
 
-        let rec = self.record_of(cpu, pid, &access, MissSource::Cache);
+        let rec = miss_record(self.clocks[cpu], proc, pid, &access, MissSource::Cache);
         self.obs.on_miss(&rec, latency, remote);
-        if let Some(t) = &mut self.trace {
-            t.push(rec);
+        self.observe(&rec)
+    }
+
+    /// Maps `page` for `pid` at `home` unless it is already mapped. If
+    /// the whole machine is out of frames, reclaims replicated pages
+    /// (the §7.2.3 pressure response) before giving up with a typed
+    /// error.
+    pub(super) fn first_touch(
+        &mut self,
+        pid: Pid,
+        page: VirtPage,
+        home: NodeId,
+    ) -> Result<(), SimError> {
+        if self.pager.mapping_node(pid, page).is_some()
+            || self.pager.first_touch(pid, page, home).is_some()
+        {
+            return Ok(());
         }
-        self.drive_policy(cpu, pid, my_node, proc, &rec)
+        for n in 0..self.spec.config.nodes {
+            let freed = self.pager.reclaim_replicas_on(NodeId(n), 8);
+            if F::ENABLED {
+                self.fault_stats.reclaimed_frames += u64::from(freed);
+            }
+        }
+        match self.pager.first_touch(pid, page, home) {
+            Some(_) => Ok(()),
+            None => Err(SimError::OutOfMemory { page, node: home }),
+        }
     }
 }

@@ -186,19 +186,15 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     /// First-touch homes decided by window lanes, keyed by
     /// `(pid, page)`. Consulted after the pager so a page touched in an
     /// earlier window resolves even when its `FirstTouch` event is
-    /// still in the carry pool.
+    /// still queued.
     overlay: FxHashMap<(Pid, VirtPage), NodeId>,
-    /// Window events whose timestamps fall beyond the merged window;
-    /// replayed (still in canonical order) in a later merge.
-    carry: Vec<WinEv>,
+    /// Per-CPU window event queues in `(time, seq)` order: the events
+    /// a merge left for later (stamped past its window), then the next
+    /// window's lane events appended after them.
+    queues: Vec<Vec<WinEv>>,
     /// Per-CPU event sequence numbers; never reset, so `(cpu, seq)` is
     /// unique across the whole run and the merge order total.
     lane_seq: Vec<u64>,
-    /// Per-CPU event buffers recycled between windows.
-    event_scratch: Vec<Vec<WinEv>>,
-    /// Last quantum index for which the windowed phase ran the
-    /// scheduler-boundary work (context switches, storms, adaptive).
-    win_quantum: u64,
 }
 
 impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
@@ -253,11 +249,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             metric,
             rr_nodes,
             breakdown: RunBreakdown::new(),
-            trace: if opts.capture_trace {
-                Some(TraceBuilder::new())
-            } else {
-                None
-            },
+            trace: opts.capture_trace.then(TraceBuilder::new),
             pending: Vec::new(),
             pending_scratch: Vec::new(),
             ops_scratch: Vec::new(),
@@ -271,10 +263,8 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             adaptive_snap: (Ns::ZERO, Ns::ZERO, Ns::ZERO),
             obs_epoch: 0,
             overlay: FxHashMap::default(),
-            carry: Vec::new(),
+            queues: (0..procs).map(|_| Vec::new()).collect(),
             lane_seq: vec![0; procs],
-            event_scratch: (0..procs).map(|_| Vec::new()).collect(),
-            win_quantum: u64::MAX,
             obs,
             prof,
             faults,

@@ -1,10 +1,11 @@
 //! Per-run configuration: the placement policy and the kernel knobs.
 
+use super::window::WINDOW;
 use ccnuma_core::{AdaptiveTrigger, DynamicPolicyKind, MissMetric, PolicyParams};
 use ccnuma_faults::FaultSpec;
 use ccnuma_kernel::{LockGranularity, ShootdownMode};
 use ccnuma_trace::MissSource;
-use ccnuma_types::ShardPlan;
+use ccnuma_types::{Ns, ShardPlan};
 use std::fmt;
 
 /// The page-placement policy for a run.
@@ -86,29 +87,32 @@ pub struct RunOptions {
     /// simulated CPUs. Results are byte-identical at every shard count.
     pub shards: ShardPlan,
     /// Shard epoch window length in simulated microseconds; `None`
-    /// uses the built-in default (100 µs). An experiment knob for
-    /// window-tuning studies: like `shards` it is excluded from the
-    /// run-cache key, so changing it never invalidates cached runs.
+    /// uses the built-in default (100 µs). The window can change
+    /// results, so a non-default length is part of the run-cache key.
     pub window_us: Option<u64>,
 }
 
-/// Hand-written so the shard plan and window length stay out of the
-/// debug rendering: run cache keys are derived from
-/// `format!("{spec:?}")`, and execution hints must never perturb them
-/// — the whole point is that results are byte-identical at every shard
-/// count, and the window is an experiment knob, not an identity.
+/// Hand-written because run cache keys are derived from
+/// `format!("{spec:?}")`. The shard plan stays out — results are
+/// byte-identical at every shard count — while the window length,
+/// which can change results, is rendered whenever it differs from the
+/// default, so default keys (and the goldens and journals built on
+/// them) stay as they were.
 impl fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("policy", &self.policy)
+        let mut d = f.debug_struct("RunOptions");
+        d.field("policy", &self.policy)
             .field("capture_trace", &self.capture_trace)
             .field("shootdown", &self.shootdown)
             .field("granularity", &self.granularity)
             .field("batch_pages", &self.batch_pages)
             .field("pipelined_copy", &self.pipelined_copy)
             .field("adaptive", &self.adaptive)
-            .field("faults", &self.faults)
-            .finish()
+            .field("faults", &self.faults);
+        match self.window_us {
+            Some(us) if Ns::from_us(us) != WINDOW => d.field("window_us", &us).finish(),
+            _ => d.finish(),
+        }
     }
 }
 
@@ -198,10 +202,10 @@ impl RunOptions {
     }
 
     /// Sets the shard epoch window length in simulated microseconds.
-    /// An execution hint like the shard plan: excluded from the cache
-    /// key. Note that unlike `shards`, the window size *can* perturb
-    /// results (directory-contention feedback is one window late), so
-    /// comparative experiments should hold it fixed.
+    /// Unlike `shards`, the window size *can* perturb results
+    /// (directory-contention feedback is one window late), so a
+    /// non-default window joins the cache key, and comparative
+    /// experiments should hold it fixed.
     ///
     /// # Panics
     ///
@@ -227,10 +231,16 @@ mod tests {
     }
 
     #[test]
-    fn window_is_invisible_to_debug_and_cache_keys() {
-        let a = RunOptions::new(PolicyChoice::first_touch());
-        let b = RunOptions::new(PolicyChoice::first_touch()).with_window_us(250);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(!format!("{b:?}").contains("window"));
+    fn non_default_window_joins_debug_and_cache_keys() {
+        let key = |o: RunOptions| format!("{o:?}");
+        let base = || RunOptions::new(PolicyChoice::first_touch());
+        assert_ne!(key(base()), key(base().with_window_us(20)));
+        assert!(key(base().with_window_us(20)).contains("window_us: 20"));
+        // The default, spelled out or not, keeps the old key.
+        assert_eq!(key(base()), key(base().with_window_us(100)));
+        assert_eq!(
+            key(base().with_window_us(20)),
+            key(base().with_window_us(20).with_shards(ShardPlan::new(8)))
+        );
     }
 }

@@ -8,24 +8,28 @@ use ccnuma_faults::{FaultEvent, FaultInjector, FaultKind};
 use ccnuma_kernel::{OpOutcome, PageOp};
 use ccnuma_obs::{AuditAction, Decision, Phase, Profiler, Recorder};
 use ccnuma_trace::MissRecord;
-use ccnuma_types::{Mode, NodeId, Ns, Pid, ProcId, SimError, VirtPage};
+use ccnuma_types::{Mode, Ns, SimError, VirtPage};
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
+    /// Appends one miss record to the captured trace (if any) and feeds
+    /// it to the policy engine.
+    pub(super) fn observe(&mut self, rec: &MissRecord) -> Result<(), SimError> {
+        if let Some(t) = &mut self.trace {
+            t.push(*rec);
+        }
+        self.drive_policy(rec)
+    }
+
     /// Feeds one miss event to the policy engine and acts on the decision.
-    pub(super) fn drive_policy(
-        &mut self,
-        cpu: usize,
-        pid: Pid,
-        my_node: NodeId,
-        proc: ProcId,
-        rec: &MissRecord,
-    ) -> Result<(), SimError> {
+    fn drive_policy(&mut self, rec: &MissRecord) -> Result<(), SimError> {
         let Some(metric) = &mut self.metric else {
             return Ok(());
         };
         if !metric.admits(rec) {
             return Ok(());
         }
+        let (cpu, pid, proc) = (rec.proc.index(), rec.pid, rec.proc);
+        let my_node = self.node_of(cpu);
         let engine = self.engine.as_mut().expect("metric implies engine");
         let loc = self.pager.location_for(pid, rec.page, my_node);
         let pressure = self.pager.pressure(my_node);
@@ -191,11 +195,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             let start = self.clocks[cpu];
             match outcome {
                 OpOutcome::Done { latency } => {
-                    if F::ENABLED {
-                        self.consec_failures = 0;
-                    }
-                    self.charge_overhead(cpu, op, latency);
-                    self.shootdown_all(op.page());
+                    self.op_done(cpu, op, latency);
                     self.obs.on_page_op(cpu, start, op, &outcome);
                 }
                 OpOutcome::NoPage => {
@@ -217,16 +217,9 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                         OpOutcome::NoPage
                     };
                     if let OpOutcome::Done { latency } = retried {
-                        if F::ENABLED {
-                            self.consec_failures = 0;
-                        }
-                        self.charge_overhead(cpu, op, latency);
-                        self.shootdown_all(op.page());
+                        self.op_done(cpu, op, latency);
                     } else {
-                        if let Some(e) = &mut self.engine {
-                            e.note_no_page(action);
-                            self.obs.on_no_page(start, op.page(), action);
-                        }
+                        self.note_move_dropped(start, op.page(), action);
                         if F::ENABLED {
                             self.note_pressure_failure(cpu);
                         }
@@ -258,8 +251,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     if let OpOutcome::Done { latency } = last {
                         self.fault_stats.retry_successes += 1;
                         self.consec_failures = 0;
-                        self.charge_overhead(cpu, op, latency);
-                        self.shootdown_all(op.page());
+                        self.op_done(cpu, op, latency);
                     } else {
                         self.fault_stats.failed_ops += 1;
                         // A dropped move never happened: net it out of
@@ -268,10 +260,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                             action,
                             PolicyAction::Migrate { .. } | PolicyAction::Replicate { .. }
                         ) {
-                            if let Some(e) = &mut self.engine {
-                                e.note_no_page(action);
-                                self.obs.on_no_page(start, op.page(), action);
-                            }
+                            self.note_move_dropped(start, op.page(), action);
                         }
                         self.note_pressure_failure(cpu);
                     }
@@ -296,18 +285,20 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         }
     }
 
-    fn charge_overhead(&mut self, cpu: usize, op: &PageOp, latency: Ns) {
+    /// A completed page op: resets the failure streak, charges its
+    /// overhead on `cpu`, and removes the page from every TLB (the
+    /// mappings changed).
+    fn op_done(&mut self, cpu: usize, op: &PageOp, latency: Ns) {
+        if F::ENABLED {
+            self.consec_failures = 0;
+        }
         match op {
             PageOp::Migrate { .. } => self.breakdown.add_mig_overhead(latency),
             _ => self.breakdown.add_rep_overhead(latency),
         }
         self.clocks[cpu] += latency;
-    }
-
-    /// Removes `page` from every TLB (the mappings changed).
-    fn shootdown_all(&mut self, page: VirtPage) {
         for tlb in &mut self.tlb {
-            tlb.shootdown(page);
+            tlb.shootdown(op.page());
         }
     }
 }

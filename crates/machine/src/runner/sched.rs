@@ -8,6 +8,7 @@ use ccnuma_core::IntervalFeedback;
 use ccnuma_faults::FaultInjector;
 use ccnuma_obs::{Phase, Profiler, Recorder};
 use ccnuma_types::{Ns, SimError};
+use std::ops::Range;
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// Runs the workload to completion and reports. Fails with a typed
@@ -39,39 +40,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 .expect("at least one cpu");
             let now = self.clocks[cpu];
 
-            // Epoch sampling rides the main loop: when the minimum clock
-            // crosses a boundary, every CPU has reached it. The
-            // `R::ENABLED` guard keeps the (non-free) sample view off
-            // the uninstrumented path entirely.
-            if R::ENABLED && self.obs.epoch_due(now) {
-                let span = self.prof.enter(Phase::Epoch);
-                let view = self.sample_view(now);
-                self.obs.on_epoch(now, &view);
-                self.prof.exit(Phase::Epoch, span);
-            }
-
-            // Re-query the scheduler on quantum boundaries.
+            self.sample_epoch(now);
             let q = now.0 / quantum.0;
             if q != self.cur_quantum[cpu] {
-                let span = self.prof.enter(Phase::Sched);
-                self.cur_quantum[cpu] = q;
-                if F::ENABLED {
-                    self.drive_storms(now);
-                }
-                self.adaptive_tick(now);
-                let map = self.spec.scheduler.assignment(now);
-                let pid = map.get(cpu).copied().flatten();
-                if pid != self.cur_pid[cpu] {
-                    // Context switch: no ASIDs, flush the TLB.
-                    self.tlb[cpu].flush();
-                    self.cur_pid[cpu] = pid;
-                    if let Some(p) = pid {
-                        self.pager.set_pid_node(p, self.node_of(cpu));
-                    }
-                    self.obs
-                        .on_context_switch(cpu, now, pid.map(|p| p.0 as u64));
-                }
-                self.prof.exit(Phase::Sched, span);
+                self.quantum_boundary(now, q, cpu..cpu + 1);
             }
             let Some(pid) = self.cur_pid[cpu] else {
                 // Idle until the next quantum boundary.
@@ -100,6 +72,44 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         // cheap report assembly after this point is uncounted.
         self.prof.exit(Phase::Run, run_span);
         Ok(self.finish())
+    }
+
+    /// Epoch sampling: when the minimum clock crosses a boundary, every
+    /// CPU has reached it. The `R::ENABLED` guard keeps the (non-free)
+    /// sample view off the uninstrumented path entirely.
+    pub(super) fn sample_epoch(&mut self, now: Ns) {
+        if R::ENABLED && self.obs.epoch_due(now) {
+            let span = self.prof.enter(Phase::Epoch);
+            let view = self.sample_view(now);
+            self.obs.on_epoch(now, &view);
+            self.prof.exit(Phase::Epoch, span);
+        }
+    }
+
+    /// Quantum-boundary work for `cpus` entering quantum `q` at `now`:
+    /// fault storms, the adaptive tick, and the scheduler re-query with
+    /// its context switches (no ASIDs, so a switch flushes the TLB).
+    pub(super) fn quantum_boundary(&mut self, now: Ns, q: u64, cpus: Range<usize>) {
+        let span = self.prof.enter(Phase::Sched);
+        if F::ENABLED {
+            self.drive_storms(now);
+        }
+        self.adaptive_tick(now);
+        let map = self.spec.scheduler.assignment(now);
+        for cpu in cpus {
+            self.cur_quantum[cpu] = q;
+            let pid = map.get(cpu).copied().flatten();
+            if pid != self.cur_pid[cpu] {
+                self.tlb[cpu].flush();
+                self.cur_pid[cpu] = pid;
+                if let Some(p) = pid {
+                    self.pager.set_pid_node(p, self.node_of(cpu));
+                }
+                self.obs
+                    .on_context_switch(cpu, now, pid.map(|p| p.0 as u64));
+            }
+        }
+        self.prof.exit(Phase::Sched, span);
     }
 
     /// At reset-interval boundaries, feed the adaptive controller the

@@ -10,12 +10,14 @@
 //! L2, clock, reference stream and RNG, reads the pager and topology
 //! immutably, and queues everything else — first touches, coherence
 //! writes and fills, policy-driving miss events — as [`Ev`] values
-//! stamped `(time, cpu, seq)`. The merge sorts the combined event pool
-//! by that key and replays it on the coordinating thread, so the
-//! result depends only on the *window size*, never on how lanes are
-//! grouped onto host threads. `--shards 1` and `--shards 8` are the
-//! same computation with different thread placement; reports are
-//! byte-identical by construction.
+//! stamped `(time, cpu, seq)`. Each CPU keeps one event queue, already
+//! in `(time, seq)` order (a lane clock only moves forward); the merge
+//! replays the queues in `(time, cpu, seq)` order through a k-way heap
+//! merge on the coordinating thread, so the result depends only on the
+//! *window size*, never on how lanes are grouped onto host threads.
+//! `--shards 1` and `--shards 8` are the same computation with
+//! different thread placement; reports are byte-identical by
+//! construction.
 //!
 //! Directory-controller contention (§7.1.2) is charged entirely at the
 //! merge: lanes charge the uncontended miss latency, and the canonical
@@ -33,7 +35,8 @@
 //! quantum. The final stretch of a run (and anything too short to
 //! window) uses the exact serial per-reference loop in `sched`.
 
-use super::memory::TLB_REFILL;
+use super::accounting::miss_record;
+use super::memory::{first_touch_home, TLB_REFILL};
 use super::Sim;
 use crate::{L2Cache, Tlb};
 use ccnuma_faults::FaultInjector;
@@ -46,6 +49,8 @@ use ccnuma_types::{
 };
 use ccnuma_workloads::ProcessStream;
 use rand::rngs::SmallRng;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Default window length in simulated nanoseconds, used when
 /// [`RunOptions::window_us`](super::RunOptions) is `None`. Windows are
@@ -122,6 +127,10 @@ struct LaneCtx<'a> {
     pager: &'a ccnuma_kernel::Pager,
     overlay: &'a FxHashMap<(Pid, VirtPage), NodeId>,
     rr_nodes: Option<u16>,
+    /// Whether anything consumes [`Ev::Tlb`] (a recorder, trace
+    /// capture, or a TLB-source metric); otherwise the replay would
+    /// drop every one, so lanes do not emit them.
+    tlb_events: bool,
     end: Ns,
 }
 
@@ -146,10 +155,11 @@ struct Lane {
 }
 
 impl Lane {
-    fn emit(&mut self, time: Ns, ev: Ev) {
+    /// Queues `ev`, stamped with the lane clock.
+    fn emit(&mut self, ev: Ev) {
         self.seq += 1;
         self.events.push(WinEv {
-            time,
+            time: self.clock,
             cpu: self.cpu,
             seq: self.seq,
             ev,
@@ -181,54 +191,35 @@ impl Lane {
     /// `Sim::step`, but every cross-CPU effect becomes an event.
     fn step(&mut self, ctx: &LaneCtx, pid: Pid, access: MemAccess) {
         let my_node = ctx.cfg.node_of_proc(ProcId(self.cpu));
+        let (page, line) = (access.page, access.line);
 
         self.breakdown
             .add_busy(access.mode, ctx.cfg.compute_ns_per_ref);
         self.clock += ctx.cfg.compute_ns_per_ref;
 
-        if !self.tlb.access(access.page) {
-            let key = (pid, access.page);
-            if ctx.pager.mapping_node(pid, access.page).is_none()
+        if !self.tlb.access(page) {
+            let key = (pid, page);
+            if ctx.pager.mapping_node(pid, page).is_none()
                 && !ctx.overlay.contains_key(&key)
                 && !self.touched.contains_key(&key)
             {
-                let home = match ctx.rr_nodes {
-                    Some(n) => NodeId((access.page.0 % u64::from(n)) as u16),
-                    None => my_node,
-                };
+                let home = first_touch_home(ctx.rr_nodes, page, my_node);
                 self.touched.insert(key, home);
-                self.emit(
-                    self.clock,
-                    Ev::FirstTouch {
-                        pid,
-                        page: access.page,
-                        home,
-                    },
-                );
+                self.emit(Ev::FirstTouch { pid, page, home });
             }
             self.breakdown.add_busy(Mode::Kernel, TLB_REFILL);
             self.clock += TLB_REFILL;
-            let rec = self.record_of(pid, &access, MissSource::Tlb);
-            self.emit(self.clock, Ev::Tlb { rec });
+            if ctx.tlb_events {
+                let rec = miss_record(self.clock, ProcId(self.cpu), pid, &access, MissSource::Tlb);
+                self.emit(Ev::Tlb { rec });
+            }
         }
 
-        let hit = self.l2.access(access.page, access.line);
+        let hit = self.l2.access(page, line);
         if access.kind == AccessKind::Write {
-            self.emit(
-                self.clock,
-                Ev::CohWrite {
-                    page: access.page,
-                    line: access.line,
-                },
-            );
+            self.emit(Ev::CohWrite { page, line });
         } else if !hit {
-            self.emit(
-                self.clock,
-                Ev::CohFill {
-                    page: access.page,
-                    line: access.line,
-                },
-            );
+            self.emit(Ev::CohFill { page, line });
         }
 
         if hit {
@@ -238,15 +229,15 @@ impl Lane {
             return;
         }
 
-        let mapped = ctx
+        let home = ctx
             .pager
-            .mapping_node(pid, access.page)
-            .or_else(|| ctx.overlay.get(&(pid, access.page)).copied())
-            .or_else(|| self.touched.get(&(pid, access.page)).copied())
+            .mapping_node(pid, page)
+            .or_else(|| ctx.overlay.get(&(pid, page)).copied())
+            .or_else(|| self.touched.get(&(pid, page)).copied())
             .expect("page mapped by a prior touch");
-        let tier = ctx.topo.tier(my_node, mapped);
+        let tier = ctx.topo.tier(my_node, home);
         let remote = tier.is_off_node();
-        let latency = ctx.topo.latency(my_node, mapped, access.kind);
+        let latency = ctx.topo.latency(my_node, home, access.kind);
         self.breakdown
             .add_stall_tier(access.mode, access.class, tier, latency);
         self.clock += latency;
@@ -254,42 +245,32 @@ impl Lane {
             self.local_lat_sum += latency;
             self.local_lat_n += 1;
         }
-        let rec = self.record_of(pid, &access, MissSource::Cache);
-        self.emit(
+        let rec = miss_record(
             self.clock,
-            Ev::Miss {
-                rec,
-                latency,
-                home: mapped,
-                remote,
-            },
-        );
-    }
-
-    fn record_of(&self, pid: Pid, access: &MemAccess, source: MissSource) -> MissRecord {
-        MissRecord {
-            time: self.clock,
-            proc: ProcId(self.cpu),
+            ProcId(self.cpu),
             pid,
-            page: access.page,
-            kind: access.kind,
-            mode: access.mode,
-            class: access.class,
-            source,
-        }
+            &access,
+            MissSource::Cache,
+        );
+        self.emit(Ev::Miss {
+            rec,
+            latency,
+            home,
+            remote,
+        });
     }
 }
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
-    /// References the windowed phase must leave for the serial tail:
-    /// one window can consume at most this many, so running windows
-    /// only while `refs_left` exceeds it can never overdraw.
     /// The configured window length (the `--window-us` knob, or the
     /// built-in default).
     pub(super) fn window(&self) -> Ns {
         self.opts.window_us.map_or(WINDOW, Ns::from_us)
     }
 
+    /// References the windowed phase must leave for the serial tail:
+    /// one window can consume at most this many, so running windows
+    /// only while `refs_left` exceeds it can never overdraw.
     pub(super) fn window_tail_bound(&self) -> u64 {
         let min_step = self.spec.config.compute_ns_per_ref.0.max(1);
         self.clocks.len() as u64 * (self.window().0 / min_step + 2)
@@ -301,38 +282,13 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         let procs = self.clocks.len();
         let cur = self.clocks.iter().copied().min().expect("at least one cpu");
 
-        if R::ENABLED && self.obs.epoch_due(cur) {
-            let span = self.prof.enter(Phase::Epoch);
-            let view = self.sample_view(cur);
-            self.obs.on_epoch(cur, &view);
-            self.prof.exit(Phase::Epoch, span);
-        }
-
+        self.sample_epoch(cur);
         // Quantum-boundary work runs once per quantum, between windows,
-        // for every CPU at once (windows never straddle a boundary).
+        // for every CPU at once (windows never straddle a boundary, so
+        // all CPUs share one current quantum here).
         let q = cur.0 / quantum.0;
-        if q != self.win_quantum {
-            let span = self.prof.enter(Phase::Sched);
-            self.win_quantum = q;
-            if F::ENABLED {
-                self.drive_storms(cur);
-            }
-            self.adaptive_tick(cur);
-            let map = self.spec.scheduler.assignment(cur);
-            for cpu in 0..procs {
-                self.cur_quantum[cpu] = q;
-                let pid = map.get(cpu).copied().flatten();
-                if pid != self.cur_pid[cpu] {
-                    self.tlb[cpu].flush();
-                    self.cur_pid[cpu] = pid;
-                    if let Some(p) = pid {
-                        self.pager.set_pid_node(p, self.node_of(cpu));
-                    }
-                    self.obs
-                        .on_context_switch(cpu, cur, pid.map(|p| p.0 as u64));
-                }
-            }
-            self.prof.exit(Phase::Sched, span);
+        if q != self.cur_quantum[0] {
+            self.quantum_boundary(cur, q, 0..procs);
         }
         let end = Ns((cur.0 + self.window().0).min((q + 1) * quantum.0));
 
@@ -363,7 +319,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     local_lat_n: 0,
                     refs: 0,
                     seq: self.lane_seq[cpu],
-                    events: std::mem::take(&mut self.event_scratch[cpu]),
+                    events: std::mem::take(&mut self.queues[cpu]),
                 }
             })
             .collect();
@@ -374,6 +330,12 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             pager: &self.pager,
             overlay: &self.overlay,
             rr_nodes: self.rr_nodes,
+            tlb_events: R::ENABLED
+                || self.trace.is_some()
+                || self
+                    .metric
+                    .as_ref()
+                    .is_some_and(|m| m.source() == MissSource::Tlb),
             end,
         };
         let span = self.prof.enter(Phase::Memory);
@@ -382,24 +344,26 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 lane.run_window(&ctx);
             }
         } else {
+            // The calling thread runs the first chunk itself rather
+            // than idle while the spawned threads run the others.
             let per = lanes.len().div_ceil(shards);
+            let run = |chunk: &mut [Lane]| chunk.iter_mut().for_each(|l| l.run_window(&ctx));
             std::thread::scope(|s| {
-                let ctx = &ctx;
-                for chunk in lanes.chunks_mut(per) {
-                    s.spawn(move || {
-                        for lane in chunk {
-                            lane.run_window(ctx);
-                        }
-                    });
+                let mut chunks = lanes.chunks_mut(per);
+                let first = chunks.next();
+                for chunk in chunks {
+                    s.spawn(move || run(chunk));
+                }
+                if let Some(chunk) = first {
+                    run(chunk);
                 }
             });
         }
         self.prof.exit(Phase::Memory, span);
 
         // Fold lane state back in CPU order (deterministic float sums),
-        // then replay the event pool in canonical (time, cpu, seq)
-        // order.
-        let mut pool = std::mem::take(&mut self.carry);
+        // then replay the queued events in canonical order.
+        let span = self.prof.enter(Phase::Merge);
         let mut consumed = 0u64;
         let mut tlbs = Vec::with_capacity(procs);
         let mut l2s = Vec::with_capacity(procs);
@@ -417,83 +381,58 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             for (k, v) in lane.touched.drain() {
                 self.overlay.entry(k).or_insert(v);
             }
-            pool.append(&mut lane.events);
-            self.event_scratch[cpu] = lane.events;
+            debug_assert!(
+                lane.events
+                    .windows(2)
+                    .all(|w| (w[0].time, w[0].seq) < (w[1].time, w[1].seq)),
+                "cpu {cpu}: queue out of (time, seq) order"
+            );
+            self.queues[cpu] = lane.events;
             tlbs.push(lane.tlb);
             l2s.push(lane.l2);
         }
         self.tlb = tlbs;
         self.l2 = l2s;
-
-        pool.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
-        // Events timestamped at or past the window end belong to a
-        // later merge: every lane clock is >= `end` now, so next
-        // window's events can only be later — global order holds.
-        let cut = pool.partition_point(|e| e.time < end);
-        self.carry = pool.split_off(cut);
-
-        let span = self.prof.enter(Phase::Merge);
-        let mut outcome = Ok(());
-        for ev in pool {
-            outcome = self.replay(ev);
-            if outcome.is_err() {
-                break;
-            }
-        }
+        // Events stamped at or past the window end stay queued for a
+        // later merge. Queues stay `(time, seq)`-sorted across windows:
+        // lane clocks only move forward, the replay only adds waits to
+        // them, and every lane clock is >= `end` now, so the next
+        // window's events sort after everything carried.
+        let outcome = self.merge(Some(end));
         self.prof.exit(Phase::Merge, span);
         outcome?;
         Ok(consumed)
     }
 
-    /// Replays events still in the carry pool (the windowed phase is
-    /// over; the serial tail starts from fully merged state).
+    /// Replays every still-queued event (the windowed phase is over;
+    /// the serial tail starts from fully merged state).
     pub(super) fn flush_carried(&mut self) -> Result<(), SimError> {
-        if self.carry.is_empty() {
-            return Ok(());
-        }
-        let pool = std::mem::take(&mut self.carry);
         let span = self.prof.enter(Phase::Merge);
-        let mut outcome = Ok(());
-        for ev in pool {
-            outcome = self.replay(ev);
-            if outcome.is_err() {
-                break;
-            }
-        }
+        let outcome = self.merge(None);
         self.prof.exit(Phase::Merge, span);
+        outcome
+    }
+
+    /// Replays the queued events stamped before `end` (all of them
+    /// when `None`) in canonical order.
+    fn merge(&mut self, end: Option<Ns>) -> Result<(), SimError> {
+        let mut queues = std::mem::take(&mut self.queues);
+        let outcome = kway_merge(&mut queues, end, |wev| self.replay(wev));
+        self.queues = queues;
         outcome
     }
 
     /// Applies one lane event to the canonical state. Mirrors the
     /// corresponding arms of the serial `Sim::step`.
-    fn replay(&mut self, wev: WinEv) -> Result<(), SimError> {
+    fn replay(&mut self, wev: &WinEv) -> Result<(), SimError> {
         let cpu = wev.cpu as usize;
         match wev.ev {
-            Ev::FirstTouch { pid, page, home } => {
-                // Another event (same page, earlier in canonical order)
-                // may have mapped it already; first writer wins.
-                if self.pager.mapping_node(pid, page).is_none()
-                    && self.pager.first_touch(pid, page, home).is_none()
-                {
-                    for n in 0..self.spec.config.nodes {
-                        let freed = self.pager.reclaim_replicas_on(NodeId(n), 8);
-                        if F::ENABLED {
-                            self.fault_stats.reclaimed_frames += u64::from(freed);
-                        }
-                    }
-                    if self.pager.first_touch(pid, page, home).is_none() {
-                        return Err(SimError::OutOfMemory { page, node: home });
-                    }
-                }
-                Ok(())
-            }
+            // Another event (same page, earlier in canonical order) may
+            // have mapped it already; first writer wins.
+            Ev::FirstTouch { pid, page, home } => self.first_touch(pid, page, home),
             Ev::Tlb { rec } => {
                 self.obs.on_tlb_fill(&rec, TLB_REFILL);
-                if let Some(t) = &mut self.trace {
-                    t.push(rec);
-                }
-                let my_node = self.node_of(cpu);
-                self.drive_policy(cpu, rec.pid, my_node, ProcId(wev.cpu), &rec)
+                self.observe(&rec)
             }
             Ev::CohWrite { page, line } => {
                 let span = self.prof.enter(Phase::Coherence);
@@ -524,8 +463,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 // synchronization).
                 let wait = self.directory.request(wev.time, home, remote);
                 if wait > Ns::ZERO {
-                    let my_node = self.node_of(cpu);
-                    let tier = self.topo.tier(my_node, home);
+                    let tier = self.topo.tier(self.node_of(cpu), home);
                     self.breakdown
                         .add_contention_stall(rec.mode, rec.class, tier, wait);
                     self.clocks[cpu] += wait;
@@ -534,12 +472,111 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     }
                 }
                 self.obs.on_miss(&rec, latency + wait, remote);
-                if let Some(t) = &mut self.trace {
-                    t.push(rec);
-                }
-                let my_node = self.node_of(cpu);
-                self.drive_policy(cpu, rec.pid, my_node, ProcId(wev.cpu), &rec)
+                self.observe(&rec)
             }
         }
+    }
+}
+
+/// Hands `replay` every queued event stamped before `end` (every event
+/// when `None`) in `(time, cpu, seq)` order, then drains each queue's
+/// replayed prefix: what is left is the next merge's carry. Each queue
+/// must be `(time, seq)`-sorted, so the heap holds just one entry per
+/// CPU — its queue head — and `(time, cpu)` orders it: O(log P) per
+/// event instead of a global sort.
+fn kway_merge(
+    queues: &mut [Vec<WinEv>],
+    end: Option<Ns>,
+    mut replay: impl FnMut(&WinEv) -> Result<(), SimError>,
+) -> Result<(), SimError> {
+    let due = |e: &&WinEv| end.is_none_or(|end| e.time < end);
+    let mut next = vec![0usize; queues.len()];
+    let mut heap: BinaryHeap<Reverse<(Ns, usize)>> = queues
+        .iter()
+        .enumerate()
+        .filter_map(|(cpu, q)| q.first().filter(due).map(|e| Reverse((e.time, cpu))))
+        .collect();
+    let mut outcome = Ok(());
+    while let Some(mut head) = heap.peek_mut() {
+        let Reverse((_, cpu)) = *head;
+        let i = next[cpu];
+        next[cpu] += 1;
+        match queues[cpu].get(i + 1).filter(due) {
+            Some(e) => *head = Reverse((e.time, cpu)),
+            None => drop(PeekMut::pop(head)),
+        }
+        outcome = replay(&queues[cpu][i]);
+        if outcome.is_err() {
+            break;
+        }
+    }
+    for (queue, n) in queues.iter_mut().zip(next) {
+        queue.drain(..n);
+    }
+    outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccnuma_types::VirtPage;
+    use rand::{Rng, SeedableRng};
+
+    fn replay_order(queues: &mut [Vec<WinEv>], end: Option<Ns>) -> Vec<(Ns, u16, u64)> {
+        let mut order = Vec::new();
+        kway_merge(queues, end, |e| {
+            order.push((e.time, e.cpu, e.seq));
+            Ok(())
+        })
+        .expect("the test replay never fails");
+        order
+    }
+
+    /// Over several windows, each appending `(time, seq)`-sorted lane
+    /// events behind the carry, the k-way replay order equals the
+    /// global `(time, cpu, seq)` sort of everything queued, cut at
+    /// `end`; the bound-less flush replays the rest in that order too.
+    #[test]
+    fn kway_merge_matches_global_sort() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut carried = 0;
+        for _ in 0..200 {
+            let cpus = rng.gen_range(1..10usize);
+            let mut queues: Vec<Vec<WinEv>> = (0..cpus).map(|_| Vec::new()).collect();
+            let (mut clocks, mut seqs, mut pool, mut end) =
+                (vec![0; cpus], vec![0; cpus], vec![], 0);
+            for _ in 0..4 {
+                for cpu in 0..cpus {
+                    // Lane clocks resume at the last window end; small
+                    // steps make equal timestamps across CPUs common.
+                    clocks[cpu] = u64::max(clocks[cpu], end);
+                    for _ in 0..rng.gen_range(0..30u32) {
+                        clocks[cpu] += rng.gen_range(0..3u64);
+                        seqs[cpu] += 1;
+                        let (time, cpu16, seq) = (Ns(clocks[cpu]), cpu as u16, seqs[cpu]);
+                        let ev = Ev::CohFill {
+                            page: VirtPage(0),
+                            line: 0,
+                        };
+                        queues[cpu].push(WinEv {
+                            time,
+                            cpu: cpu16,
+                            seq,
+                            ev,
+                        });
+                        pool.push((time, cpu16, seq));
+                    }
+                }
+                end += rng.gen_range(0..40u64);
+                pool.sort_unstable();
+                let cut = pool.partition_point(|k| k.0 < Ns(end));
+                assert_eq!(replay_order(&mut queues, Some(Ns(end))), pool[..cut]);
+                pool.drain(..cut);
+                carried += usize::from(!pool.is_empty());
+            }
+            assert_eq!(replay_order(&mut queues, None), pool);
+            assert!(queues.iter().all(Vec::is_empty));
+        }
+        assert!(carried > 100, "too few windows carried events: {carried}");
     }
 }

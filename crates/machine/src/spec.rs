@@ -302,7 +302,10 @@ mod tests {
             prof.entries(Phase::Memory),
             w.total_refs
         );
+        // Every merge (the lane fold plus the k-way replay) is timed.
         assert!(prof.entries(Phase::Merge) > 0, "windows merged");
+        assert_eq!(prof.spans(Phase::Merge), prof.entries(Phase::Merge));
+        assert!(prof.total_ns(Phase::Merge) > 0);
         assert!(prof.entries(Phase::Sched) > 0, "quantum boundaries fire");
         let mut prof2 = SpanProfiler::new();
         spec.try_run_profiled(&mut NullRecorder, &mut prof2)
