@@ -2,7 +2,7 @@
 //! macro-bench.
 //!
 //! The micro targets isolate the three structures every reference (or
-//! every miss) touches — the flat open-addressed TLB, the ProcSet
+//! every miss) touches — the page-indexed TLB, the page-indexed ProcSet
 //! coherence directory, and the directory-contention model — so a
 //! regression in any one of them is visible without re-running the whole
 //! suite. The macro target runs Raytrace at quick scale end to end under
@@ -14,7 +14,7 @@ use ccnuma_workloads::{Scale, WorkloadKind};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// TLB access over a working set larger than the TLB: a fixed hit/miss
-/// mix exercising probe, FIFO eviction, and backward-shift deletion.
+/// mix exercising the page-index lookup and FIFO eviction.
 fn bench_tlb(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath/tlb");
     group.bench_function("access_mixed", |b| {

@@ -1,23 +1,27 @@
 //! Write-invalidate coherence bookkeeping.
 
-use ccnuma_types::{FxHashMap, ProcId, ProcSet, VirtPage};
-use std::collections::hash_map::Entry;
+use ccnuma_types::{MachineConfig, ProcId, ProcSet, VirtPage};
+
+/// Cache lines per page on the paper's machine (4 KB pages, 128 B lines),
+/// the line geometry of [`CoherenceDir::new`] and
+/// [`CoherenceDir::with_procs`].
+const PAPER_LINES_PER_PAGE: u32 = 32;
 
 /// Tracks which processors cache each line, so a write can invalidate
 /// the other holders — the directory's sharing vector, reduced to what
 /// the simulator needs. Sized for the machine at construction
-/// ([`CoherenceDir::with_procs`]), up to [`ProcSet::MAX_PROCS`]
+/// ([`CoherenceDir::for_machine`]), up to [`ProcSet::MAX_PROCS`]
 /// processors.
 ///
 /// This table is consulted on every simulated write and every L2 fill,
-/// so it is built for the hot path: `(VirtPage, u16)` keys hash through
-/// [`FxHashMap`] (three word-mixes instead of SipHash) into a *slot*
-/// index, and the sharing vectors themselves live in one flat `Vec<u64>`
-/// arena at a fixed stride of words per line. A ≤64-processor machine
-/// keeps the old single-word cost; a 1024-processor machine uses 16
-/// words per line — and in both cases
+/// so it is built for the hot path. Virtual pages are small dense
+/// integers, so a line's sharing vector is found by direct indexing, not
+/// hashing: all vectors live in one flat `Vec<u64>` arena at
+/// `(page × lines_per_page + line) × stride`, grown on demand to the
+/// highest line touched. A ≤64-processor machine uses one word per line;
+/// a 1024-processor machine uses 16 — and in both cases
 /// [`write`](CoherenceDir::write) fills a caller-owned [`ProcSet`]
-/// scratch, so the per-reference path never allocates.
+/// scratch, so the per-reference path allocates only when the arena grows.
 ///
 /// # Examples
 ///
@@ -34,14 +38,11 @@ use std::collections::hash_map::Entry;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoherenceDir {
-    /// Line → slot index into the `words` arena.
-    slots: FxHashMap<(VirtPage, u16), u32>,
-    /// Sharing vectors, `stride` words per slot.
+    /// Sharing vectors, `stride` words per line, indexed by line number.
     words: Vec<u64>,
-    /// Recycled slots of lines whose last holder evicted.
-    free: Vec<u32>,
     /// Words per sharing vector (`ceil(max_procs / 64)`).
     stride: usize,
+    lines_per_page: usize,
     max_procs: u16,
 }
 
@@ -52,22 +53,36 @@ impl CoherenceDir {
         CoherenceDir::with_procs(64)
     }
 
-    /// An empty directory sized for a machine with `procs` processors.
+    /// An empty directory sized for a machine with `procs` processors
+    /// and the paper machine's 32 lines per page.
     ///
     /// # Panics
     ///
     /// Panics if `procs` is zero or exceeds [`ProcSet::MAX_PROCS`].
     pub fn with_procs(procs: u16) -> CoherenceDir {
+        CoherenceDir::sized(procs, PAPER_LINES_PER_PAGE)
+    }
+
+    /// An empty directory for `cfg`'s processor count and line geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the processor count is zero or exceeds
+    /// [`ProcSet::MAX_PROCS`].
+    pub fn for_machine(cfg: &MachineConfig) -> CoherenceDir {
+        CoherenceDir::sized(cfg.procs(), cfg.lines_per_page())
+    }
+
+    fn sized(procs: u16, lines_per_page: u32) -> CoherenceDir {
         assert!(
             procs > 0 && procs <= ProcSet::MAX_PROCS,
             "coherence dir supports 1..={} processors, got {procs}",
             ProcSet::MAX_PROCS
         );
         CoherenceDir {
-            slots: FxHashMap::default(),
             words: Vec::new(),
-            free: Vec::new(),
             stride: procs.div_ceil(64) as usize,
+            lines_per_page: lines_per_page as usize,
             max_procs: procs,
         }
     }
@@ -88,36 +103,37 @@ impl CoherenceDir {
         );
     }
 
-    /// The arena offset of (`page`, `line`)'s sharing vector, allocating
-    /// a slot (recycled if possible) on first sight.
+    /// The arena offset of (`page`, `line`)'s sharing vector. A line
+    /// beyond the page would alias the next page's, so it panics.
     #[inline]
-    fn slot_base(&mut self, page: VirtPage, line: u16) -> usize {
-        let stride = self.stride;
-        match self.slots.entry((page, line)) {
-            Entry::Occupied(e) => *e.get() as usize * stride,
-            Entry::Vacant(e) => {
-                let slot = match self.free.pop() {
-                    Some(s) => s,
-                    None => {
-                        let s = (self.words.len() / stride) as u32;
-                        self.words.resize(self.words.len() + stride, 0);
-                        s
-                    }
-                };
-                e.insert(slot);
-                slot as usize * stride
-            }
+    fn base(&self, page: VirtPage, line: u16) -> usize {
+        assert!(
+            (line as usize) < self.lines_per_page,
+            "line {line} out of range: {} lines per page",
+            self.lines_per_page
+        );
+        (page.0 as usize * self.lines_per_page + line as usize) * self.stride
+    }
+
+    /// [`base`](Self::base), growing the arena to cover the line.
+    #[inline]
+    fn base_grown(&mut self, page: VirtPage, line: u16) -> usize {
+        let base = self.base(page, line);
+        if base + self.stride > self.words.len() {
+            self.words.resize(base + self.stride, 0);
         }
+        base
     }
 
     /// Records that `proc` now caches (`page`, `line`).
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity.
+    /// Panics if `proc` is beyond the directory's capacity or `line` is
+    /// beyond the page.
     pub fn record_fill(&mut self, proc: ProcId, page: VirtPage, line: u16) {
         self.check(proc);
-        let base = self.slot_base(page, line);
+        let base = self.base_grown(page, line);
         self.words[base + proc.index() / 64] |= 1u64 << (proc.index() % 64);
     }
 
@@ -125,16 +141,13 @@ impl CoherenceDir {
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity.
+    /// Panics if `proc` is beyond the directory's capacity or `line` is
+    /// beyond the page.
     pub fn record_evict(&mut self, proc: ProcId, page: VirtPage, line: u16) {
         self.check(proc);
-        if let Some(&slot) = self.slots.get(&(page, line)) {
-            let base = slot as usize * self.stride;
-            self.words[base + proc.index() / 64] &= !(1u64 << (proc.index() % 64));
-            if self.words[base..base + self.stride].iter().all(|&w| w == 0) {
-                self.slots.remove(&(page, line));
-                self.free.push(slot);
-            }
+        let base = self.base(page, line);
+        if let Some(w) = self.words.get_mut(base + proc.index() / 64) {
+            *w &= !(1u64 << (proc.index() % 64));
         }
     }
 
@@ -145,34 +158,39 @@ impl CoherenceDir {
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity, or if
-    /// `victims` was sized for a different machine.
+    /// Panics if `proc` is beyond the directory's capacity, `line` is
+    /// beyond the page, or `victims` was sized for a different machine.
     pub fn write(&mut self, proc: ProcId, page: VirtPage, line: u16, victims: &mut ProcSet) {
         self.check(proc);
         let stride = self.stride;
-        let base = self.slot_base(page, line);
+        let base = self.base_grown(page, line);
         let dst = victims.words_mut();
         assert_eq!(
             dst.len(),
             stride,
             "victim set sized for a different machine"
         );
-        dst.copy_from_slice(&self.words[base..base + stride]);
+        let vector = &mut self.words[base..base + stride];
+        dst.copy_from_slice(vector);
         let (w, b) = (proc.index() / 64, proc.index() % 64);
         dst[w] &= !(1u64 << b);
-        self.words[base..base + stride].fill(0);
-        self.words[base + w] = 1u64 << b;
+        vector.fill(0);
+        vector[w] = 1u64 << b;
     }
 
     /// Holders of (`page`, `line`), lowest processor first. Diagnostic
     /// convenience — allocates, so keep it off the per-reference path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is beyond the page.
     pub fn holders_of(&self, page: VirtPage, line: u16) -> Vec<ProcId> {
-        let Some(&slot) = self.slots.get(&(page, line)) else {
+        let base = self.base(page, line);
+        let Some(vector) = self.words.get(base..base + self.stride) else {
             return Vec::new();
         };
-        let base = slot as usize * self.stride;
         let mut out = Vec::new();
-        for (wi, &word) in self.words[base..base + self.stride].iter().enumerate() {
+        for (wi, &word) in vector.iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 out.push(ProcId((wi * 64 + w.trailing_zeros() as usize) as u16));
@@ -180,16 +198,6 @@ impl CoherenceDir {
             }
         }
         out
-    }
-
-    /// Number of tracked lines.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -233,7 +241,7 @@ mod tests {
         let mut d = CoherenceDir::new();
         d.record_fill(ProcId(0), VirtPage(1), 0);
         d.record_evict(ProcId(0), VirtPage(1), 0);
-        assert!(d.is_empty());
+        assert!(d.holders_of(VirtPage(1), 0).is_empty());
         // evicting a non-holder is a no-op
         d.record_evict(ProcId(1), VirtPage(1), 0);
         assert!(d.holders_of(VirtPage(1), 0).is_empty());
@@ -249,7 +257,6 @@ mod tests {
             vec![ProcId(0)]
         );
         assert_eq!(d.holders_of(VirtPage(1), 1), vec![ProcId(0)]);
-        assert_eq!(d.len(), 2);
     }
 
     #[test]
@@ -279,15 +286,50 @@ mod tests {
     }
 
     #[test]
-    fn evicted_slots_are_recycled() {
+    fn lines_are_indexed_densely_without_aliasing() {
+        // The last line of one page and the first of the next are
+        // adjacent in the arena; a 256-processor machine gives each
+        // line four words, so a stride slip would show up as a
+        // neighbour's holder.
         let mut d = CoherenceDir::with_procs(256);
-        d.record_fill(ProcId(200), VirtPage(1), 0);
-        d.record_evict(ProcId(200), VirtPage(1), 0);
-        assert!(d.is_empty());
-        // The recycled slot must come back zeroed-in-effect: a stale
-        // holder from the previous tenant would corrupt the new line.
-        d.record_fill(ProcId(3), VirtPage(9), 5);
-        assert_eq!(d.holders_of(VirtPage(9), 5), vec![ProcId(3)]);
+        d.record_fill(ProcId(200), VirtPage(1), 31);
+        d.record_fill(ProcId(3), VirtPage(2), 0);
+        assert_eq!(d.holders_of(VirtPage(1), 31), vec![ProcId(200)]);
+        assert_eq!(d.holders_of(VirtPage(2), 0), vec![ProcId(3)]);
+        d.record_evict(ProcId(200), VirtPage(1), 31);
+        assert!(d.holders_of(VirtPage(1), 31).is_empty());
+        assert_eq!(d.holders_of(VirtPage(2), 0), vec![ProcId(3)]);
+        // Lines beyond the arena have no holders, and evicting one is a
+        // no-op.
+        assert!(d.holders_of(VirtPage(1000), 5).is_empty());
+        d.record_evict(ProcId(3), VirtPage(1000), 5);
+        assert!(d.holders_of(VirtPage(1000), 5).is_empty());
+    }
+
+    #[test]
+    fn for_machine_follows_the_line_geometry() {
+        let mut cfg = MachineConfig::cc_numa();
+        cfg.line_size = 64;
+        let mut d = CoherenceDir::for_machine(&cfg);
+        assert_eq!(d.max_procs(), cfg.procs());
+        d.record_fill(ProcId(1), VirtPage(0), 63);
+        d.record_fill(ProcId(2), VirtPage(1), 0);
+        assert_eq!(d.holders_of(VirtPage(0), 63), vec![ProcId(1)]);
+        assert_eq!(d.holders_of(VirtPage(1), 0), vec![ProcId(2)]);
+    }
+
+    #[test]
+    fn with_procs_uses_the_paper_line_geometry() {
+        assert_eq!(
+            PAPER_LINES_PER_PAGE,
+            MachineConfig::cc_numa().lines_per_page()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "line 32 out of range: 32 lines per page")]
+    fn rejects_lines_beyond_the_page() {
+        CoherenceDir::new().record_fill(ProcId(0), VirtPage(1), 32);
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             cur_quantum: vec![u64::MAX; procs],
             l2: (0..procs).map(|_| L2Cache::new(&cfg)).collect(),
             tlb: (0..procs).map(|_| Tlb::new(&cfg)).collect(),
-            coherence: CoherenceDir::with_procs(cfg.procs()),
+            coherence: CoherenceDir::for_machine(&cfg),
             victims: ProcSet::with_capacity_for(cfg.procs()),
             topo: cfg.effective_topology(),
             directory: DirectoryModel::new(&cfg),

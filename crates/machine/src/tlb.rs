@@ -2,9 +2,9 @@
 
 use ccnuma_types::{MachineConfig, VirtPage};
 
-/// Sentinel marking an empty probe-table or ring slot. Virtual page
-/// numbers are segment offsets handed out by the workload generators and
-/// never reach `u64::MAX`.
+/// Sentinel marking an empty ring slot. Virtual page numbers are segment
+/// offsets handed out by the workload generators and never reach
+/// `u64::MAX`.
 const EMPTY: u64 = u64::MAX;
 
 /// A 64-entry (configurable) TLB with FIFO replacement.
@@ -14,12 +14,13 @@ const EMPTY: u64 = u64::MAX;
 /// switches flush everything (no ASIDs, like the paper's IRIX).
 ///
 /// The TLB sits on the per-reference hot path — [`access`](Tlb::access)
-/// runs once per simulated memory reference — so residency is tracked in
-/// a flat open-addressed probe table (linear probing, backward-shift
-/// deletion) sized at construction to twice the entry count, rather than
-/// a `HashMap`. A 64-entry TLB fits in two cache lines of keys; probing
-/// it costs a multiply and a couple of compares, and no path through the
-/// TLB allocates after construction.
+/// runs once per simulated memory reference. Virtual pages are small
+/// dense integers (each workload's address space is handed out from page
+/// 0), so residency is a direct index rather than a hash: `slot_of[page]`
+/// holds the page's FIFO ring slot plus one, 0 when not resident, and
+/// grows on demand to the highest page seen. A hit is one load; a miss
+/// is two stores and a ring advance; a shootdown is O(1); a flush clears
+/// only the ring's pages.
 ///
 /// # Examples
 ///
@@ -35,15 +36,10 @@ const EMPTY: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    capacity: usize,
-    /// Probe-table index mask (table length is a power of two).
-    mask: usize,
-    /// Fibonacci-hash shift: 64 − log2(table length).
-    shift: u32,
-    /// Open-addressed keys: raw page numbers, [`EMPTY`] when vacant.
-    keys: Vec<u64>,
-    /// FIFO ring of resident pages, parallel to the original slot order;
-    /// [`EMPTY`] when the slot was shot down.
+    /// Page → ring slot + 1; 0 when the page is not resident.
+    slot_of: Vec<u16>,
+    /// FIFO ring of resident pages; [`EMPTY`] when the slot was never
+    /// filled or was shot down.
     ring: Vec<u64>,
     head: usize,
     len: usize,
@@ -53,16 +49,20 @@ pub struct Tlb {
 
 impl Tlb {
     /// A TLB with the machine's entry count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry count does not fit the `u16` slot index.
     pub fn new(cfg: &MachineConfig) -> Tlb {
-        let capacity = cfg.tlb_entries as usize;
-        // Load factor ≤ 0.5 keeps linear-probe chains short.
-        let table = (capacity * 2).next_power_of_two();
+        assert!(
+            cfg.tlb_entries < u32::from(u16::MAX),
+            "TLB supports fewer than {} entries, got {}",
+            u16::MAX,
+            cfg.tlb_entries
+        );
         Tlb {
-            capacity,
-            mask: table - 1,
-            shift: 64 - table.trailing_zeros(),
-            keys: vec![EMPTY; table],
-            ring: vec![EMPTY; capacity],
+            slot_of: Vec::new(),
+            ring: vec![EMPTY; cfg.tlb_entries as usize],
             head: 0,
             len: 0,
             hits: 0,
@@ -70,106 +70,50 @@ impl Tlb {
         }
     }
 
-    /// Fibonacci hashing: multiply by 2⁶⁴/φ and keep the top bits.
-    #[inline]
-    fn home(&self, page: u64) -> usize {
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Probe-table position of `page`, or `None` if not resident.
-    #[inline]
-    fn find(&self, page: u64) -> Option<usize> {
-        let mut pos = self.home(page);
-        loop {
-            let k = self.keys[pos];
-            if k == page {
-                return Some(pos);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// Inserts `page` at the first vacancy of its probe chain. The
-    /// caller guarantees the page is absent and the table under half
-    /// full, so the probe always terminates.
-    #[inline]
-    fn insert(&mut self, page: u64) {
-        let mut pos = self.home(page);
-        while self.keys[pos] != EMPTY {
-            pos = (pos + 1) & self.mask;
-        }
-        self.keys[pos] = page;
-    }
-
-    /// Deletes the key at `pos` by backward-shifting the rest of its
-    /// probe chain, so no tombstones accumulate.
-    fn remove_at(&mut self, mut pos: usize) {
-        loop {
-            self.keys[pos] = EMPTY;
-            let mut next = pos;
-            loop {
-                next = (next + 1) & self.mask;
-                let k = self.keys[next];
-                if k == EMPTY {
-                    return;
-                }
-                // Move `k` back into the hole only if the hole still lies
-                // on `k`'s probe path (its home is cyclically outside
-                // (pos, next]).
-                let home = self.home(k);
-                if (next.wrapping_sub(home) & self.mask) >= (next.wrapping_sub(pos) & self.mask) {
-                    self.keys[pos] = k;
-                    pos = next;
-                    break;
-                }
-            }
-        }
-    }
-
     /// Accesses `page`; returns `true` on hit. On a miss the page is
-    /// loaded, evicting the oldest entry. One probe resolves the lookup;
-    /// the miss path reuses the FIFO slot directly instead of the old
-    /// `contains_key`-then-`insert` double probe of the map days.
+    /// loaded into the FIFO head slot, evicting its previous tenant.
     pub fn access(&mut self, page: VirtPage) -> bool {
         debug_assert_ne!(page.0, EMPTY, "u64::MAX is the vacancy sentinel");
-        if self.find(page.0).is_some() {
+        let p = page.0 as usize;
+        if self.slot_of.get(p).is_some_and(|&s| s != 0) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        let old = std::mem::replace(&mut self.ring[self.head], page.0);
-        if old != EMPTY {
-            let pos = self.find(old).expect("ring pages are always indexed");
-            self.remove_at(pos);
-            self.len -= 1;
+        if p >= self.slot_of.len() {
+            self.slot_of.resize(p + 1, 0);
         }
-        self.insert(page.0);
-        self.len += 1;
-        self.head = (self.head + 1) % self.capacity;
+        match std::mem::replace(&mut self.ring[self.head], page.0) {
+            EMPTY => self.len += 1,
+            old => self.slot_of[old as usize] = 0,
+        }
+        self.slot_of[p] = self.head as u16 + 1;
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
         false
     }
 
     /// Removes `page`'s entry if resident (TLB shootdown for one page).
     pub fn shootdown(&mut self, page: VirtPage) {
-        if let Some(pos) = self.find(page.0) {
-            self.remove_at(pos);
-            self.len -= 1;
-            let slot = self
-                .ring
-                .iter()
-                .position(|&p| p == page.0)
-                .expect("indexed pages are in the ring");
-            self.ring[slot] = EMPTY;
+        if let Some(s) = self.slot_of.get_mut(page.0 as usize) {
+            if *s != 0 {
+                self.ring[*s as usize - 1] = EMPTY;
+                *s = 0;
+                self.len -= 1;
+            }
         }
     }
 
     /// Flushes the whole TLB (context switch).
     pub fn flush(&mut self) {
-        self.keys.iter_mut().for_each(|k| *k = EMPTY);
-        self.ring.iter_mut().for_each(|s| *s = EMPTY);
+        for p in &mut self.ring {
+            if *p != EMPTY {
+                self.slot_of[*p as usize] = 0;
+                *p = EMPTY;
+            }
+        }
         self.head = 0;
         self.len = 0;
     }
@@ -273,32 +217,39 @@ mod tests {
     }
 
     #[test]
-    fn colliding_pages_probe_past_each_other() {
-        // Pages one table-length apart share a home slot modulo nothing —
-        // force collisions by brute force: find three pages with the same
-        // home and check they all stay resident and individually
-        // removable.
+    fn flush_and_shootdown_forget_every_resident_page() {
+        // Pages spread over a sparse index, so some slot_of entries sit
+        // far beyond the others.
+        let pages: Vec<u64> = (0..40u64).map(|i| i * i * 37).collect();
         let mut t = tlb();
-        let target = t.home(0);
-        let mut same_home = vec![0u64];
-        let mut p = 1u64;
-        while same_home.len() < 3 {
-            if t.home(p) == target {
-                same_home.push(p);
-            }
-            p += 1;
+        for &p in &pages {
+            t.access(VirtPage(p));
         }
-        for &p in &same_home {
-            assert!(!t.access(VirtPage(p)));
+        t.flush();
+        assert_eq!(t.len(), 0);
+        for &p in &pages {
+            assert!(!t.access(VirtPage(p)), "page {p} survived the flush");
         }
-        for &p in &same_home {
-            assert!(t.access(VirtPage(p)), "collided page {p} lost");
+        assert_eq!(t.len(), pages.len());
+        for &p in &pages {
+            t.shootdown(VirtPage(p));
         }
-        // Removing the middle of the probe chain must not strand the rest.
-        t.shootdown(VirtPage(same_home[1]));
-        assert!(t.access(VirtPage(same_home[0])));
-        assert!(t.access(VirtPage(same_home[2])));
-        assert!(!t.access(VirtPage(same_home[1])));
+        assert!(t.is_empty());
+        for &p in &pages {
+            assert!(!t.access(VirtPage(p)), "page {p} survived its shootdown");
+        }
+        assert_eq!(t.len(), pages.len());
+        // Shooting down a page beyond the index is a no-op.
+        t.shootdown(VirtPage(1 << 30));
+        assert_eq!(t.len(), pages.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 65535 entries")]
+    fn rejects_entry_counts_beyond_the_slot_index() {
+        let mut cfg = MachineConfig::cc_numa();
+        cfg.tlb_entries = u32::from(u16::MAX);
+        Tlb::new(&cfg);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use ccnuma_types::{MachineConfig, NodeId, Ns, ProcId, ProcSet, VirtPage};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// Naive reference model for the flat open-addressed [`Tlb`]: presence in
-/// a std `HashSet` (SipHash, no probing to get wrong), recency in the same
+/// Naive reference model for the page-indexed [`Tlb`]: presence in a std
+/// `HashSet` (no index to grow or clear wrongly), recency in the same
 /// FIFO ring the hardware models — a fixed slot array whose head advances
 /// once per miss, with shot-down entries leaving holes that evict nothing
 /// when their turn comes.
@@ -106,17 +106,22 @@ proptest! {
         }
     }
 
-    /// The flat TLB agrees with the naive model on every access outcome
-    /// over arbitrary interleavings of accesses, shootdowns and flushes —
-    /// the probing and backward-shift deletion never lose or invent a page.
+    /// The page-indexed TLB agrees with the naive model on every access
+    /// outcome over arbitrary interleavings of accesses, shootdowns and
+    /// flushes. Half the pages are sparse, up to 2^20, so the index grows
+    /// in jumps and shootdowns often name pages beyond its current length.
     #[test]
     fn tlb_matches_reference_model(
-        events in proptest::collection::vec((0u8..8, 0u64..200), 1..800),
+        events in proptest::collection::vec(
+            (0u8..8, 0u64..200, 0u64..(1 << 20), proptest::bool::ANY),
+            1..800,
+        ),
     ) {
         let cfg = MachineConfig::cc_numa();
         let mut tlb = Tlb::new(&cfg);
         let mut model = ModelTlb::new(cfg.tlb_entries as usize);
-        for (kind, page) in events {
+        for (kind, near, far, sparse) in events {
+            let page = if sparse { far } else { near };
             match kind {
                 0 => {
                     // Rare: full flush (context switch).
@@ -137,7 +142,7 @@ proptest! {
         }
     }
 
-    /// The slot-arena coherence directory agrees with a naive
+    /// The page-indexed coherence directory agrees with a naive
     /// `HashMap<line, HashSet<proc>>` model: fills and evicts track holder
     /// sets exactly, and a write's victim set is precisely the other
     /// holders at that instant. Processors span several `ProcSet` words
