@@ -12,10 +12,13 @@
 //! the oracle the property tests compare against. [`CounterTable`] is
 //! what the policy engine actually uses on the per-miss hot path: every
 //! page's counters flattened into contiguous arrays indexed by
-//! `slot × procs + proc`, reached through one FxHash lookup — no
-//! per-page heap allocation, no SipHash, no pointer chase per counter.
+//! `slot × procs + proc`, reached by indexing a page → slot array — no
+//! per-page heap allocation, no hashing, no pointer chase per counter.
 
-use ccnuma_types::{FxHashMap, ProcId, VirtPage};
+use ccnuma_types::{ProcId, VirtPage};
+
+/// Marks a page with no counter slot in [`CounterTable`]'s page index.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Counters for one page within the current reset interval.
 ///
@@ -202,13 +205,16 @@ impl PageCountersView<'_> {
 ///
 /// The policy engine consults counters on every counted miss, so the
 /// per-page [`PageCounters`] boxes (each with its own heap-allocated
-/// per-processor vector behind a SipHash map) are flattened: one
-/// FxHash lookup maps a page to a slot, and a slot's per-processor miss
+/// per-processor vector behind a SipHash map) are flattened: indexing
+/// `slots[page]` maps a page to a slot, and a slot's per-processor miss
 /// counters live at `misses[slot × procs ..][..procs]` next to parallel
 /// scalar arrays for writes, migrates, epochs, freezes and caps. Slots
 /// are never freed individually — [`clear`](CounterTable::clear) drops
 /// everything — which matches the engine's lifecycle (pages accumulate
-/// over a run, counters reset by epoch rolling in place).
+/// over a run, counters reset by epoch rolling in place). Virtual pages
+/// are small dense integers (each workload hands its pages out from 0),
+/// so the page index is a plain array grown on demand to the highest
+/// page counted: 4 bytes per page of address space.
 ///
 /// Semantics are identical to driving one [`PageCounters`] per page;
 /// the property tests in `crates/core/tests/props.rs` hold the two
@@ -232,7 +238,8 @@ impl PageCountersView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct CounterTable {
     procs: usize,
-    slots: FxHashMap<VirtPage, u32>,
+    /// Page → slot, [`NO_SLOT`] for pages never counted.
+    slots: Vec<u32>,
     /// Per-processor miss counters, stride `procs` per slot.
     misses: Vec<u32>,
     writes: Vec<u32>,
@@ -261,12 +268,12 @@ impl CounterTable {
 
     /// Number of pages with live counter state.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.caps.len()
     }
 
     /// True when no page is tracked.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.caps.is_empty()
     }
 
     /// Drops every page's state, keeping the allocations for reuse.
@@ -287,12 +294,19 @@ impl CounterTable {
     ///
     /// Panics if `cap` is zero.
     pub fn slot(&mut self, page: VirtPage, cap: u32) -> usize {
-        if let Some(&s) = self.slots.get(&page) {
-            return s as usize;
+        let p = page.0 as usize;
+        match self.slots.get(p) {
+            Some(&s) if s != NO_SLOT => return s as usize,
+            Some(_) => {}
+            None => self.slots.resize(p + 1, NO_SLOT),
         }
         assert!(cap > 0, "counter cap must be non-zero");
         let s = self.caps.len();
-        self.slots.insert(page, s as u32);
+        assert!(
+            s < NO_SLOT as usize,
+            "at most u32::MAX - 1 pages are counted"
+        );
+        self.slots[p] = s as u32;
         self.misses.resize(self.misses.len() + self.procs, 0);
         self.writes.push(0);
         self.migrates.push(0);
@@ -305,7 +319,7 @@ impl CounterTable {
     /// A read-only view of `page`'s counters, if any miss has been
     /// counted against it.
     pub fn get(&self, page: VirtPage) -> Option<PageCountersView<'_>> {
-        let s = *self.slots.get(&page)? as usize;
+        let s = *self.slots.get(page.0 as usize).filter(|&&s| s != NO_SLOT)? as usize;
         Some(PageCountersView {
             misses: self.row(s),
             writes: self.writes[s],

@@ -1,11 +1,12 @@
 //! Property-based tests for the policy engine's invariants.
 
 use ccnuma_core::{
-    DynamicPolicyKind, NoActionReason, ObservedMiss, PageLocation, Placer, PolicyAction,
-    PolicyEngine, PolicyParams, RoundRobin,
+    CounterTable, DynamicPolicyKind, NoActionReason, ObservedMiss, PageCounters, PageLocation,
+    Placer, PolicyAction, PolicyEngine, PolicyParams, RoundRobin,
 };
 use ccnuma_types::{NodeId, Ns, ProcId, VirtPage};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_miss() -> impl Strategy<Value = (u64, u16, u64, bool)> {
     (0u64..500_000_000, 0u16..8, 0u64..32, proptest::bool::ANY)
@@ -176,5 +177,78 @@ proptest! {
                 PolicyAction::Collapse | PolicyAction::Nothing(_) => {}
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `CounterTable` against one `PageCounters` per page over sparse
+    /// pages (half near 0, half up to 2^20): every operation the engine
+    /// uses, then every read, must agree.
+    #[test]
+    fn counter_table_matches_per_page_counters(
+        dense in proptest::collection::vec(0u64..64, 3),
+        sparse in proptest::collection::vec(0u64..1 << 20, 3),
+        ops in proptest::collection::vec((0usize..6, 0u8..7, 0u16..8, 0u64..4, 1u32..6), 1..300),
+    ) {
+        let pages: Vec<VirtPage> = dense.into_iter().chain(sparse).map(VirtPage).collect();
+        let mut table = CounterTable::new(8);
+        let mut model: BTreeMap<VirtPage, PageCounters> = BTreeMap::new();
+        for (i, op, proc, epoch, cap) in ops {
+            let page = pages[i];
+            let proc = ProcId(proc);
+            let s = table.slot(page, cap);
+            let c = model
+                .entry(page)
+                .or_insert_with(|| PageCounters::new(8).with_cap(cap));
+            match op {
+                0 => prop_assert_eq!(table.roll_epoch(s, epoch), c.roll_epoch(epoch)),
+                1 | 2 => prop_assert_eq!(
+                    table.record_miss(s, proc, op == 2),
+                    c.record_miss(proc, op == 2)
+                ),
+                3 => {
+                    table.record_migrate(s);
+                    c.record_migrate();
+                }
+                4 => {
+                    table.clear_misses(s);
+                    c.clear_misses();
+                }
+                5 => {
+                    table.clear_proc(s, proc);
+                    c.clear_proc(proc);
+                }
+                _ => {
+                    table.freeze_until(s, epoch);
+                    c.freeze_until(epoch);
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+        }
+        for page in &pages {
+            let Some(c) = model.get(page) else {
+                prop_assert!(table.get(*page).is_none());
+                continue;
+            };
+            let s = table.slot(*page, 1);
+            let view = table.get(*page).expect("counted page has a view");
+            prop_assert_eq!(view.writes(), c.writes());
+            prop_assert_eq!(view.migrates(), c.migrates());
+            prop_assert_eq!(table.writes(s), c.writes());
+            prop_assert_eq!(table.migrates(s), c.migrates());
+            for p in (0..8).map(ProcId) {
+                prop_assert_eq!(view.miss_count(p), c.miss_count(p));
+                prop_assert_eq!(table.miss_count(s, p), c.miss_count(p));
+                for sharing in 1..4 {
+                    prop_assert_eq!(table.shared_beyond(s, p, sharing), c.shared_beyond(p, sharing));
+                }
+            }
+            for epoch in 0..6 {
+                prop_assert_eq!(table.is_frozen(s, epoch), c.is_frozen(epoch));
+            }
+        }
+        prop_assert!(table.get(VirtPage(1 << 21)).is_none());
     }
 }

@@ -6,7 +6,7 @@
 //! chain, with one member (the master) in the hash table. This module
 //! reproduces that structure keyed by [`VirtPage`].
 
-use ccnuma_types::{Frame, FxHashMap, MachineConfig, NodeId, VirtPage};
+use ccnuma_types::{Frame, MachineConfig, NodeId, VirtPage};
 
 /// One logical page's physical copies: a master frame plus replica chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +44,12 @@ impl PageEntry {
 
 /// The global page hash: logical page → [`PageEntry`].
 ///
+/// The miss handler consults the chain on every counted miss. Virtual
+/// pages are small dense integers (each workload hands its pages out from
+/// 0), so the "hash" is a direct index: `entries[page]`, grown on demand
+/// to the highest page seen. Iteration therefore walks pages in ascending
+/// order.
+///
 /// # Examples
 ///
 /// ```
@@ -59,12 +65,10 @@ impl PageEntry {
 #[derive(Debug, Clone)]
 pub struct PageHash {
     cfg: MachineConfig,
-    /// Keyed by FxHash: the miss handler consults the chain on every
-    /// counted miss. Every order-sensitive reader sorts
-    /// ([`replicated_pages_on`](PageHash::replicated_pages_on)) or is
-    /// order-insensitive (the invariant audit), so the hasher swap never
-    /// shows up in output.
-    entries: FxHashMap<VirtPage, PageEntry>,
+    /// Indexed by page number; `None` for pages never inserted.
+    entries: Vec<Option<PageEntry>>,
+    /// Pages present.
+    len: usize,
     /// Running count of replica frames, for the §7.2.3 space overhead.
     replica_frames: u64,
     /// High-water mark of replica frames.
@@ -76,7 +80,8 @@ impl PageHash {
     pub fn new(cfg: MachineConfig) -> PageHash {
         PageHash {
             cfg,
-            entries: FxHashMap::default(),
+            entries: Vec::new(),
+            len: 0,
             replica_frames: 0,
             replica_frames_peak: 0,
         }
@@ -88,34 +93,42 @@ impl PageHash {
     ///
     /// Panics if the page is already present.
     pub fn insert_master(&mut self, page: VirtPage, frame: Frame) {
-        let prev = self.entries.insert(
-            page,
-            PageEntry {
-                master: frame,
-                replicas: Vec::new(),
-            },
-        );
-        assert!(prev.is_none(), "page {page} already in hash");
+        let p = page.0 as usize;
+        if self.entries.len() <= p {
+            self.entries.resize_with(p + 1, || None);
+        }
+        let slot = &mut self.entries[p];
+        assert!(slot.is_none(), "page {page} already in hash");
+        *slot = Some(PageEntry {
+            master: frame,
+            replicas: Vec::new(),
+        });
+        self.len += 1;
     }
 
     /// Looks up a page's entry.
+    #[inline]
     pub fn get(&self, page: VirtPage) -> Option<&PageEntry> {
-        self.entries.get(&page)
+        self.entries.get(page.0 as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, page: VirtPage) -> Option<&mut PageEntry> {
+        self.entries.get_mut(page.0 as usize)?.as_mut()
     }
 
     /// Whether the hash knows this page.
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.entries.contains_key(&page)
+        self.get(page).is_some()
     }
 
     /// Number of logical pages present.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no pages are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Links a replica frame into `page`'s chain.
@@ -131,7 +144,7 @@ impl PageHash {
             !nodes.contains(&node),
             "page {page} already has a copy on {node}"
         );
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self.get_mut(page).expect("page must be present");
         e.replicas.push(frame);
         self.replica_frames += 1;
         self.replica_frames_peak = self.replica_frames_peak.max(self.replica_frames);
@@ -143,7 +156,7 @@ impl PageHash {
     ///
     /// Panics if the page is absent.
     pub fn migrate_master(&mut self, page: VirtPage, new_frame: Frame) -> Frame {
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self.get_mut(page).expect("page must be present");
         std::mem::replace(&mut e.master, new_frame)
     }
 
@@ -154,7 +167,7 @@ impl PageHash {
     ///
     /// Panics if the page is absent.
     pub fn collapse(&mut self, page: VirtPage) -> Vec<Frame> {
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self.get_mut(page).expect("page must be present");
         let freed = std::mem::take(&mut e.replicas);
         self.replica_frames -= freed.len() as u64;
         freed
@@ -163,18 +176,19 @@ impl PageHash {
     /// Removes one replica of `page` living on `node`, if any, returning
     /// the freed frame (memory-pressure reclaim prefers replicated pages).
     pub fn remove_replica_on(&mut self, page: VirtPage, node: NodeId) -> Option<Frame> {
-        let e = self.entries.get_mut(&page)?;
+        let cfg = &self.cfg;
+        let e = self.entries.get_mut(page.0 as usize)?.as_mut()?;
         let pos = e
             .replicas
             .iter()
-            .position(|f| self.cfg.node_of_frame(*f) == node)?;
+            .position(|f| cfg.node_of_frame(*f) == node)?;
         self.replica_frames -= 1;
         Some(e.replicas.remove(pos))
     }
 
     /// The nodes currently holding a copy of `page` (master first).
     pub fn copy_nodes(&self, page: VirtPage) -> Vec<NodeId> {
-        match self.entries.get(&page) {
+        match self.get(page) {
             None => Vec::new(),
             Some(e) => e.all_frames().map(|f| self.cfg.node_of_frame(f)).collect(),
         }
@@ -182,35 +196,35 @@ impl PageHash {
 
     /// The frame of `page`'s copy on `node`, if one exists.
     pub fn copy_on(&self, page: VirtPage, node: NodeId) -> Option<Frame> {
-        self.entries
-            .get(&page)?
+        self.get(page)?
             .all_frames()
             .find(|f| self.cfg.node_of_frame(*f) == node)
     }
 
     /// Pages that currently have replicas on `node` (reclaim candidates).
     pub fn replicated_pages_on(&self, node: NodeId) -> Vec<VirtPage> {
-        let mut pages: Vec<VirtPage> = self
-            .entries
+        let pages: Vec<VirtPage> = self
             .iter()
             .filter(|(_, e)| {
                 e.replicas
                     .iter()
                     .any(|f| self.cfg.node_of_frame(*f) == node)
             })
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
-        // The backing HashMap iterates in per-process random order, but
-        // reclaim takes victims from the front of this list, so it must
-        // be deterministic for runs to be reproducible under pressure.
-        pages.sort_unstable();
+        // Reclaim takes victims from the front of this list, so runs
+        // under pressure are reproducible only if it comes out sorted.
+        debug_assert!(pages.is_sorted());
         pages
     }
 
-    /// Every (page, entry) pair, in unspecified order — used by the
+    /// Every (page, entry) pair, in ascending page order — used by the
     /// invariant checker to audit all replica chains.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPage, &PageEntry)> {
-        self.entries.iter().map(|(&p, e)| (p, e))
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(p, e)| Some((VirtPage(p as u64), e.as_ref()?)))
     }
 
     /// Replica frames currently live.

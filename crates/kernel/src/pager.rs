@@ -14,7 +14,7 @@ use crate::{
 use ccnuma_core::PageLocation;
 use ccnuma_faults::{FaultInjector, FaultOp, NullFaults};
 use ccnuma_types::{Frame, MachineConfig, NodeId, Ns, Pid, Topology, VirtPage};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// How TLB shootdowns pick their victim CPUs.
 ///
@@ -236,9 +236,9 @@ pub struct Pager {
     tables: PageTables,
     locks: LockModel,
     book: CostBook,
-    /// Last known node for each process (set by the scheduler), used to
-    /// pick "nearest" copies in policy-end.
-    pid_nodes: HashMap<Pid, NodeId>,
+    /// Last known node for each process (set by the scheduler), indexed
+    /// by pid, used to pick "nearest" copies in policy-end.
+    pid_nodes: Vec<Option<NodeId>>,
     /// Frames held out of circulation by injected memory-pressure storms,
     /// per node (BTreeMap keeps release order deterministic).
     seized: BTreeMap<NodeId, Vec<Frame>>,
@@ -259,10 +259,10 @@ impl Pager {
             frames,
             hash,
             topo,
-            tables: PageTables::new(),
+            tables: PageTables::new(&cfg.machine),
             locks: LockModel::new(),
             book: CostBook::new(),
-            pid_nodes: HashMap::new(),
+            pid_nodes: Vec::new(),
             seized: BTreeMap::new(),
             last_batch: BatchStats::default(),
             batches: 0,
@@ -273,11 +273,23 @@ impl Pager {
     /// Records where `pid` currently runs (the scheduler calls this); the
     /// pager uses it to pick nearest copies during policy-end.
     pub fn set_pid_node(&mut self, pid: Pid, node: NodeId) {
-        self.pid_nodes.insert(pid, node);
+        *self.pid_node_slot(pid) = Some(node);
+    }
+
+    fn pid_node_slot(&mut self, pid: Pid) -> &mut Option<NodeId> {
+        let p = pid.0 as usize;
+        if self.pid_nodes.len() <= p {
+            self.pid_nodes.resize(p + 1, None);
+        }
+        &mut self.pid_nodes[p]
     }
 
     fn pid_node(&self, pid: Pid) -> NodeId {
-        self.pid_nodes.get(&pid).copied().unwrap_or(NodeId(0))
+        self.pid_nodes
+            .get(pid.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(NodeId(0))
     }
 
     /// Ensures (`pid`, `page`) is mapped, allocating a first-touch master
@@ -286,9 +298,9 @@ impl Pager {
     /// if one exists, else to the master. Returns the mapped node, or
     /// `None` when the whole machine is out of memory.
     pub fn first_touch(&mut self, pid: Pid, page: VirtPage, node: NodeId) -> Option<NodeId> {
-        self.pid_nodes.entry(pid).or_insert(node);
-        if let Some(frame) = self.tables.lookup(pid, page) {
-            return Some(self.cfg.machine.node_of_frame(frame));
+        self.pid_node_slot(pid).get_or_insert(node);
+        if let Some(mapped) = self.tables.lookup_node(pid, page) {
+            return Some(mapped);
         }
         let frame = match self.hash.get(page) {
             None => {
@@ -306,10 +318,9 @@ impl Pager {
     }
 
     /// The node backing (`pid`, `page`)'s current mapping.
+    #[inline]
     pub fn mapping_node(&self, pid: Pid, page: VirtPage) -> Option<NodeId> {
-        self.tables
-            .lookup(pid, page)
-            .map(|f| self.cfg.machine.node_of_frame(f))
+        self.tables.lookup_node(pid, page)
     }
 
     /// Nodes holding a copy of `page` (master first).
@@ -778,20 +789,17 @@ impl Pager {
             };
         };
         let master = entry.master();
-        let pids = self.tables.mappers_of_page(page);
-        let nearest: Vec<(Pid, Frame)> = pids
-            .iter()
-            .map(|&pid| {
+        let nearest: Vec<(Pid, Frame)> = self
+            .tables
+            .mappers_of_page(page)
+            .into_iter()
+            .map(|pid| {
                 let node = self.pid_node(pid);
                 let frame = self.hash.copy_on(page, node).unwrap_or(master);
                 (pid, frame)
             })
             .collect();
-        let mut lookup: HashMap<Pid, Frame> = HashMap::new();
-        for (pid, f) in &nearest {
-            lookup.insert(*pid, *f);
-        }
-        let moved = self.tables.repoint_each(page, &pids, |pid| lookup[&pid]);
+        let moved = self.tables.repoint_each(page, &nearest);
         let end = costs.end_repl_base + costs.per_pte * moved as u64;
         self.book.add(class, PagerStep::PolicyEnd, end);
         latency += end;

@@ -33,14 +33,11 @@ pub fn violations(pager: &Pager) -> Vec<String> {
     let cfg = pager.frames().config();
     let nodes = cfg.nodes;
 
-    // Walk every replica chain once, in sorted page order so messages
-    // come out deterministically despite the hash map underneath.
-    let mut chains: Vec<(VirtPage, &crate::PageEntry)> = pager.hash().iter().collect();
-    chains.sort_by_key(|(page, _)| *page);
-
+    // Walk every replica chain once; the hash iterates in page order, so
+    // messages come out deterministically.
     let mut frame_owner: HashMap<Frame, VirtPage> = HashMap::new();
     let mut hash_frames_per_node = vec![0u64; nodes as usize];
-    for (page, entry) in &chains {
+    for (page, entry) in pager.hash().iter() {
         let mut copy_nodes = Vec::with_capacity(entry.copy_count());
         for frame in entry.all_frames() {
             let node = cfg.node_of_frame(frame);
@@ -51,7 +48,7 @@ pub fn violations(pager: &Pager) -> Vec<String> {
                 continue;
             }
             hash_frames_per_node[node.index()] += 1;
-            if let Some(other) = frame_owner.insert(frame, *page) {
+            if let Some(other) = frame_owner.insert(frame, page) {
                 out.push(format!(
                     "frame {frame} mapped by two pages: {other} and {page}"
                 ));
@@ -96,10 +93,9 @@ pub fn violations(pager: &Pager) -> Vec<String> {
         }
     }
 
-    // Stale PTEs: every mapping must reference a current copy.
-    let mut ptes: Vec<((ccnuma_types::Pid, VirtPage), Frame)> = pager.tables().iter().collect();
-    ptes.sort();
-    for ((pid, page), frame) in ptes {
+    // Stale PTEs: every mapping must reference a current copy (the
+    // tables iterate in (pid, page) order).
+    for ((pid, page), frame) in pager.tables().iter() {
         match pager.hash().get(page) {
             None => out.push(format!("stale PTE: {pid} maps unhashed {page} at {frame}")),
             Some(entry) => {

@@ -1,10 +1,12 @@
 //! Property-based tests for the kernel substrate.
 
 use ccnuma_kernel::{
-    FrameAllocator, LockGranularity, LockId, LockModel, PageOp, Pager, PagerConfig, ShootdownMode,
+    FrameAllocator, LockGranularity, LockId, LockModel, PageHash, PageOp, PageTables, Pager,
+    PagerConfig, ShootdownMode,
 };
-use ccnuma_types::{MachineConfig, NodeId, Ns, Pid, VirtPage};
+use ccnuma_types::{Frame, MachineConfig, NodeId, Ns, Pid, VirtPage};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -251,5 +253,165 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(pager.last_batch().total_latency, sum);
+    }
+}
+
+/// A pid, page or frame drawn from a small per-case pool: half the pool
+/// is dense (near 0), half is sparse (up to `sparse_max`), so the tables
+/// see both neighbouring and far-apart indices without every case
+/// growing its rows to the maximum.
+fn pool(dense_max: u64, sparse_max: u64) -> impl Strategy<Value = Vec<u64>> {
+    (
+        proptest::collection::vec(0..dense_max, 3),
+        proptest::collection::vec(0..sparse_max, 3),
+    )
+        .prop_map(|(mut dense, sparse)| {
+            dense.extend(sparse);
+            dense
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `PageTables` against a `BTreeMap` of PTEs, over sparse pids (up
+    /// to 2^10) and pages (up to 2^20) and a node size that is not a
+    /// power of two.
+    #[test]
+    fn page_tables_match_reference_model(
+        pids in pool(8, 1 << 10),
+        pages in pool(64, 1 << 20),
+        ops in proptest::collection::vec((0u8..6, 0usize..6, 0usize..6, 0u64..400, 0u64..400), 1..120),
+    ) {
+        let cfg = MachineConfig::cc_numa().with_nodes(4).with_frames_per_node(100);
+        let mut pt = PageTables::new(&cfg);
+        let mut model: BTreeMap<(Pid, VirtPage), Frame> = BTreeMap::new();
+        for (op, i, j, f, g) in ops {
+            let (pid, page, frame, other) = (Pid(pids[i] as u32), VirtPage(pages[j]), Frame(f), Frame(g));
+            match op {
+                0 | 1 => {
+                    pt.map(pid, page, frame);
+                    model.insert((pid, page), frame);
+                }
+                2 => prop_assert_eq!(pt.unmap(pid, page), model.remove(&(pid, page))),
+                3 => {
+                    let mut want = 0;
+                    for ((_, p), fr) in model.iter_mut() {
+                        if *p == page && *fr == frame {
+                            *fr = other;
+                            want += 1;
+                        }
+                    }
+                    prop_assert_eq!(pt.repoint(page, frame, other), want);
+                }
+                4 => {
+                    // Every pool pid targets `frame` or `other`; unmapped
+                    // pids must stay unmapped.
+                    let targets: Vec<(Pid, Frame)> = pids
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &p)| (Pid(p as u32), if k % 2 == 0 { frame } else { other }))
+                        .collect();
+                    let mut want = 0;
+                    for &(p, t) in &targets {
+                        if let Some(cur) = model.get_mut(&(p, page)) {
+                            if *cur != t {
+                                *cur = t;
+                                want += 1;
+                            }
+                        }
+                    }
+                    prop_assert_eq!(pt.repoint_each(page, &targets), want);
+                }
+                _ => {
+                    let got: BTreeSet<Pid> = pt.mappers_of_page(page).into_iter().collect();
+                    let want: BTreeSet<Pid> =
+                        model.keys().filter(|(_, p)| *p == page).map(|(p, _)| *p).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(pt.lookup(pid, page), model.get(&(pid, page)).copied());
+            prop_assert_eq!(
+                pt.lookup_node(pid, page),
+                model.get(&(pid, page)).map(|&f| cfg.node_of_frame(f))
+            );
+            prop_assert_eq!(pt.len(), model.len());
+        }
+        let got: Vec<_> = pt.iter().collect();
+        let want: Vec<_> = model.iter().map(|(&k, &f)| (k, f)).collect();
+        prop_assert_eq!(got, want);
+        for f in (0..400).map(Frame) {
+            let got: BTreeSet<Pid> = pt.mappers_of(f).iter().copied().collect();
+            let want: BTreeSet<Pid> =
+                model.iter().filter(|(_, &g)| g == f).map(|(&(p, _), _)| p).collect();
+            prop_assert_eq!(got, want, "mappers of {}", f);
+        }
+    }
+
+    /// `PageHash` against a `BTreeMap` of (master, replicas) chains over
+    /// sparse pages (up to 2^20).
+    #[test]
+    fn page_hash_matches_reference_model(
+        pages in pool(64, 1 << 20),
+        ops in proptest::collection::vec((0u8..6, 0usize..6, 0u64..400), 1..120),
+    ) {
+        let cfg = MachineConfig::cc_numa().with_nodes(4).with_frames_per_node(100);
+        let mut hash = PageHash::new(cfg.clone());
+        let mut model: BTreeMap<VirtPage, (Frame, Vec<Frame>)> = BTreeMap::new();
+        let node_of = |f: Frame| cfg.node_of_frame(f);
+        for (op, j, f) in ops {
+            let (page, frame) = (VirtPage(pages[j]), Frame(f));
+            let node = node_of(frame);
+            match (op, model.get_mut(&page)) {
+                (0, None) => {
+                    hash.insert_master(page, frame);
+                    model.insert(page, (frame, Vec::new()));
+                }
+                (1, Some((master, replicas)))
+                    if node_of(*master) != node && replicas.iter().all(|&r| node_of(r) != node) =>
+                {
+                    hash.add_replica(page, frame);
+                    replicas.push(frame);
+                }
+                (2, Some((master, _))) => {
+                    prop_assert_eq!(hash.migrate_master(page, frame), *master);
+                    *master = frame;
+                }
+                (3, Some((_, replicas))) => {
+                    prop_assert_eq!(hash.collapse(page), std::mem::take(replicas));
+                }
+                (4, entry) => {
+                    let want = entry.and_then(|(_, replicas)| {
+                        let pos = replicas.iter().position(|&r| node_of(r) == node)?;
+                        Some(replicas.remove(pos))
+                    });
+                    prop_assert_eq!(hash.remove_replica_on(page, node), want);
+                }
+                _ => {}
+            }
+            for n in (0..4).map(NodeId) {
+                let want = model.get(&page).and_then(|(master, replicas)| {
+                    std::iter::once(master).chain(replicas).copied().find(|&f| node_of(f) == n)
+                });
+                prop_assert_eq!(hash.copy_on(page, n), want);
+            }
+            prop_assert_eq!(hash.len(), model.len());
+            prop_assert_eq!(hash.contains(page), model.contains_key(&page));
+        }
+        for n in (0..4).map(NodeId) {
+            let want: Vec<VirtPage> = model
+                .iter()
+                .filter(|(_, (_, replicas))| replicas.iter().any(|&r| node_of(r) == n))
+                .map(|(&p, _)| p)
+                .collect();
+            prop_assert_eq!(hash.replicated_pages_on(n), want);
+        }
+        let got: Vec<(VirtPage, Frame, Vec<Frame>)> = hash
+            .iter()
+            .map(|(p, e)| (p, e.master(), e.replicas().to_vec()))
+            .collect();
+        let want: Vec<(VirtPage, Frame, Vec<Frame>)> =
+            model.into_iter().map(|(p, (m, r))| (p, m, r)).collect();
+        prop_assert_eq!(got, want);
     }
 }

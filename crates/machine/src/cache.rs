@@ -4,10 +4,10 @@ use ccnuma_types::{MachineConfig, VirtPage};
 
 /// A two-way (configurable) set-associative L2 cache with LRU
 /// replacement, indexed by global line number (page × lines-per-page +
-/// line). Lines are identified virtually — the simulator has a single
-/// global address space — so cached data stays valid across page
-/// migration, exactly as hardware coherence keeps caches valid when the
-/// OS moves a page.
+/// line) masked to the set count, which must be a power of two. Lines
+/// are identified virtually — the simulator has a single global address
+/// space — so cached data stays valid across page migration, exactly as
+/// hardware coherence keeps caches valid when the OS moves a page.
 ///
 /// # Examples
 ///
@@ -22,29 +22,46 @@ use ccnuma_types::{MachineConfig, VirtPage};
 /// ```
 #[derive(Debug, Clone)]
 pub struct L2Cache {
-    sets: usize,
+    /// Set count − 1; the set of line id `l` is `l & set_mask`.
+    set_mask: u64,
     ways: usize,
     lines_per_page: u64,
-    /// tags[set * ways + way] = line id + 1 (0 = invalid).
-    tags: Vec<u64>,
-    /// LRU order: lower = more recent; same indexing as tags.
-    stamp: Vec<u64>,
+    /// `lines[set * ways + way]`; a set's ways sit next to each other,
+    /// tag beside stamp, so an access touches one host cache line.
+    lines: Vec<Way>,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
+/// One way of a set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    /// Line id + 1; 0 when invalid.
+    tag: u64,
+    /// Tick of the last access; the LRU way has the smallest.
+    stamp: u64,
+}
+
 impl L2Cache {
     /// A cache with the machine's L2 geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count is not a power of two (which
+    /// [`MachineConfig::validate`] rejects).
     pub fn new(cfg: &MachineConfig) -> L2Cache {
         let sets = cfg.l2_sets() as usize;
+        assert!(
+            sets.is_power_of_two(),
+            "L2 set count must be a power of two, got {sets}"
+        );
         let ways = cfg.l2_ways as usize;
         L2Cache {
-            sets,
+            set_mask: sets as u64 - 1,
             ways,
             lines_per_page: cfg.lines_per_page() as u64,
-            tags: vec![0; sets * ways],
-            stamp: vec![0; sets * ways],
+            lines: vec![Way::default(); sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -56,32 +73,34 @@ impl L2Cache {
         page.0 * self.lines_per_page + line as u64
     }
 
+    #[inline]
+    fn set_of(&self, line_id: u64) -> usize {
+        (line_id & self.set_mask) as usize
+    }
+
     /// Accesses (`page`, `line`); returns `true` on hit. On a miss the
     /// line is filled, evicting the set's LRU way.
     pub fn access(&mut self, page: VirtPage, line: u16) -> bool {
         let id = self.line_id(page, line) + 1;
-        let set = ((id - 1) % self.sets as u64) as usize;
+        let set = self.set_of(id - 1);
         self.tick += 1;
         let base = set * self.ways;
-        let ways = &mut self.tags[base..base + self.ways];
-        if let Some(w) = ways.iter().position(|&t| t == id) {
-            self.stamp[base + w] = self.tick;
+        let ways = &mut self.lines[base..base + self.ways];
+        if let Some(w) = ways.iter_mut().find(|w| w.tag == id) {
+            w.stamp = self.tick;
             self.hits += 1;
             return true;
         }
-        // Miss: evict LRU (or an invalid way).
+        // Miss: evict the first invalid way, else the LRU one.
         self.misses += 1;
-        let victim = (0..self.ways)
-            .min_by_key(|&w| {
-                if self.tags[base + w] == 0 {
-                    0
-                } else {
-                    self.stamp[base + w] + 1
-                }
-            })
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| if w.tag == 0 { 0 } else { w.stamp + 1 })
             .expect("ways > 0");
-        self.tags[base + victim] = id;
-        self.stamp[base + victim] = self.tick;
+        *victim = Way {
+            tag: id,
+            stamp: self.tick,
+        };
         false
     }
 
@@ -89,15 +108,18 @@ impl L2Cache {
     /// another CPU). Returns `true` when a line was dropped.
     pub fn invalidate(&mut self, page: VirtPage, line: u16) -> bool {
         let id = self.line_id(page, line) + 1;
-        let set = ((id - 1) % self.sets as u64) as usize;
+        let set = self.set_of(id - 1);
         let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == id {
-                self.tags[base + w] = 0;
-                return true;
+        match self.lines[base..base + self.ways]
+            .iter_mut()
+            .find(|w| w.tag == id)
+        {
+            Some(w) => {
+                w.tag = 0;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Hits so far.
@@ -178,6 +200,26 @@ mod tests {
         assert!(c.invalidate(VirtPage(9), 1));
         assert!(!c.invalidate(VirtPage(9), 1), "already gone");
         assert!(!c.access(VirtPage(9), 1), "must miss after invalidate");
+    }
+
+    #[test]
+    fn set_mask_matches_modulo() {
+        use rand::{Rng, SeedableRng};
+        let c = cache();
+        let sets = u64::from(MachineConfig::cc_numa().l2_sets());
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        for _ in 0..10_000 {
+            let line: u64 = rng.gen_range(0..1 << 40);
+            assert_eq!(c.set_of(line) as u64, line % sets, "line {line}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_non_power_of_two_set_counts() {
+        let mut cfg = MachineConfig::cc_numa();
+        cfg.l2_ways = 3;
+        let _ = L2Cache::new(&cfg);
     }
 
     #[test]

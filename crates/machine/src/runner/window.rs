@@ -178,19 +178,19 @@ impl Lane {
         };
         let min_step = ctx.cfg.compute_ns_per_ref.0.max(1);
         let mut budget = ctx.end.0.saturating_sub(self.clock.0) / min_step + 1;
+        let my_node = ctx.cfg.node_of_proc(ProcId(self.cpu));
         while self.clock < ctx.end && budget > 0 {
             budget -= 1;
             let (stream, rng) = self.slot.as_mut().expect("scheduled lane has a stream");
             let access = stream.next_ref(rng);
             self.refs += 1;
-            self.step(ctx, pid, access);
+            self.step(ctx, pid, my_node, access);
         }
     }
 
     /// The lane-side memory step: identical timing to the serial
     /// `Sim::step`, but every cross-CPU effect becomes an event.
-    fn step(&mut self, ctx: &LaneCtx, pid: Pid, access: MemAccess) {
-        let my_node = ctx.cfg.node_of_proc(ProcId(self.cpu));
+    fn step(&mut self, ctx: &LaneCtx, pid: Pid, my_node: NodeId, access: MemAccess) {
         let (page, line) = (access.page, access.line);
 
         self.breakdown

@@ -255,8 +255,8 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the offending field when a field is
-    /// zero, a size is not a power of two, or the line size exceeds the
-    /// page size.
+    /// zero, a size or the L2 set count is not a power of two, or the line
+    /// size exceeds the page size.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn pow2(v: u32) -> bool {
             v != 0 && v & (v - 1) == 0
@@ -281,6 +281,9 @@ impl MachineConfig {
         }
         if self.l2_ways == 0 || self.l2_sets() == 0 {
             return Err(ConfigError::new("l2 geometry must be non-degenerate"));
+        }
+        if !pow2(self.l2_sets()) {
+            return Err(ConfigError::new("l2 set count must be a power of two"));
         }
         if self.tlb_entries == 0 {
             return Err(ConfigError::new("tlb_entries must be non-zero"));
@@ -390,6 +393,18 @@ mod tests {
         let mut c = MachineConfig::cc_numa();
         c.frames_per_node = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_three_way_l2() {
+        let mut c = MachineConfig::cc_numa();
+        c.l2_ways = 3;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            ConfigError::new("l2 set count must be a power of two")
+        );
+        c.l2_ways = 4;
+        c.validate().unwrap();
     }
 
     #[test]

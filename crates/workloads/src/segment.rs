@@ -74,6 +74,11 @@ pub struct Segment {
     pub hot_frac: f64,
     /// Probability an access lands in the hot subset.
     pub hot_weight: f64,
+    /// Size of the hot subset, `⌈pages × hot_frac⌉` and at least one;
+    /// computed on the first draw from a [`ProcessStream`], where the
+    /// segment can no longer change (0 until then). A `u32` fits in the
+    /// struct's padding, so segments stay the size they were.
+    hot_pages: u32,
 }
 
 impl Segment {
@@ -96,6 +101,7 @@ impl Segment {
             class: RefClass::Data,
             hot_frac: 0.2,
             hot_weight: 0.8,
+            hot_pages: 0,
         }
     }
 
@@ -133,11 +139,14 @@ impl Segment {
     }
 
     /// Draws a page from this segment's pool.
-    fn pick_page(&self, rng: &mut SmallRng) -> VirtPage {
-        let hot_pages = ((self.pages as f64 * self.hot_frac).ceil() as u64).clamp(1, self.pages);
+    fn pick_page(&mut self, rng: &mut SmallRng) -> VirtPage {
+        if self.hot_pages == 0 {
+            let hot = ((self.pages as f64 * self.hot_frac).ceil() as u64).clamp(1, self.pages);
+            self.hot_pages = u32::try_from(hot).expect("hot subsets hold fewer than 2^32 pages");
+        }
         let in_hot = rng.gen_bool(self.hot_weight);
         let idx = if in_hot {
-            rng.gen_range(0..hot_pages)
+            rng.gen_range(0..u64::from(self.hot_pages))
         } else {
             rng.gen_range(0..self.pages)
         };
@@ -201,14 +210,15 @@ impl ProcessStream {
     /// Generates the next reference.
     pub fn next_ref(&mut self, rng: &mut SmallRng) -> MemAccess {
         let mut pick = rng.gen_range(0.0..self.total_weight);
-        let mut chosen = &self.segments[self.segments.len() - 1];
-        for seg in &self.segments {
+        let mut i = self.segments.len() - 1;
+        for (j, seg) in self.segments.iter().enumerate() {
             if pick < seg.weight {
-                chosen = seg;
+                i = j;
                 break;
             }
             pick -= seg.weight;
         }
+        let chosen = &mut self.segments[i];
         let page = chosen.pick_page(rng);
         let kind = if chosen.class == RefClass::Instr {
             AccessKind::Read
@@ -313,6 +323,56 @@ mod tests {
     #[should_panic(expected = "at least one segment")]
     fn empty_segments_panic() {
         let _ = ProcessStream::new(Pid(1), vec![]);
+    }
+
+    /// The hot-subset size is computed once per stream; the references
+    /// must equal those of the per-draw formula, draw for draw.
+    #[test]
+    fn cached_hot_subset_matches_per_draw_formula() {
+        let mut space = PageSpace::new();
+        let segs = vec![
+            Segment::data("a", space.reserve(97), 97, 0.5, 0.3).with_locality(0.13, 0.7),
+            Segment::code("b", space.reserve(5), 5, 0.2).with_locality(0.01, 0.9),
+            Segment::data("c", space.reserve(450), 450, 0.3, 0.1).kernel(),
+        ];
+        let mut stream = ProcessStream::new(Pid(4), segs.clone());
+        let total: f64 = segs.iter().map(|s| s.weight).sum();
+        let mut r1 = SmallRng::seed_from_u64(99);
+        let mut r2 = SmallRng::seed_from_u64(99);
+        for _ in 0..10_000 {
+            // The pre-change generator, inlined.
+            let mut pick = r2.gen_range(0.0..total);
+            let mut seg = &segs[segs.len() - 1];
+            for s in &segs {
+                if pick < s.weight {
+                    seg = s;
+                    break;
+                }
+                pick -= s.weight;
+            }
+            let hot = ((seg.pages as f64 * seg.hot_frac).ceil() as u64).clamp(1, seg.pages);
+            let idx = if r2.gen_bool(seg.hot_weight) {
+                r2.gen_range(0..hot)
+            } else {
+                r2.gen_range(0..seg.pages)
+            };
+            let kind = if seg.class == RefClass::Instr {
+                AccessKind::Read
+            } else if r2.gen_bool(seg.write_frac) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let want = MemAccess {
+                pid: Pid(4),
+                page: seg.base.offset(idx),
+                line: r2.gen_range(0..32),
+                kind,
+                mode: seg.mode,
+                class: seg.class,
+            };
+            assert_eq!(stream.next_ref(&mut r1), want);
+        }
     }
 
     #[test]
