@@ -1099,17 +1099,19 @@ mod tests {
         profiled.execute(&plan);
         assert!(plain.invocation_profile().is_none());
         let prof = profiled.invocation_profile().expect("profiling is on");
-        // One Run span per computed run. The windowed engine enters
-        // Phase::Memory once per lane window (batching references), so
-        // the entry count is positive but well below one-per-reference.
+        // One Run span per computed run. Every lane window is one timed
+        // Phase::Lanes span; Phase::Memory counts only the serial tail's
+        // references, so it stays well below one-per-reference.
         assert_eq!(prof.entries(Phase::Run), 2);
         let total_refs: u64 = plan
             .specs()
             .iter()
             .map(|s| s.build_workload().total_refs)
             .sum();
+        assert!(prof.entries(Phase::Lanes) > 0, "windows ran");
+        assert_eq!(prof.spans(Phase::Lanes), prof.entries(Phase::Lanes));
         assert!(prof.entries(Phase::Memory) > 0);
-        assert!(prof.entries(Phase::Memory) <= total_refs);
+        assert!(prof.entries(Phase::Memory) < total_refs);
         assert!(prof.entries(Phase::Merge) > 0, "windows merged");
         for spec in plan.specs() {
             let a = plain.run(spec);

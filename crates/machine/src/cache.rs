@@ -26,21 +26,12 @@ pub struct L2Cache {
     set_mask: u64,
     ways: usize,
     lines_per_page: u64,
-    /// `lines[set * ways + way]`; a set's ways sit next to each other,
-    /// tag beside stamp, so an access touches one host cache line.
-    lines: Vec<Way>,
-    tick: u64,
+    /// `tags[set * ways..][..ways]`: each set's tags (line id + 1; 0 when
+    /// invalid) in most-recently-used order, so an access touches one
+    /// host cache line and the last way is the LRU one.
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
-}
-
-/// One way of a set.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    /// Line id + 1; 0 when invalid.
-    tag: u64,
-    /// Tick of the last access; the LRU way has the smallest.
-    stamp: u64,
 }
 
 impl L2Cache {
@@ -61,8 +52,7 @@ impl L2Cache {
             set_mask: sets as u64 - 1,
             ways,
             lines_per_page: cfg.lines_per_page() as u64,
-            lines: vec![Way::default(); sets * ways],
-            tick: 0,
+            tags: vec![0; sets * ways],
             hits: 0,
             misses: 0,
         }
@@ -82,40 +72,34 @@ impl L2Cache {
     /// line is filled, evicting the set's LRU way.
     pub fn access(&mut self, page: VirtPage, line: u16) -> bool {
         let id = self.line_id(page, line) + 1;
-        let set = self.set_of(id - 1);
-        self.tick += 1;
-        let base = set * self.ways;
-        let ways = &mut self.lines[base..base + self.ways];
-        if let Some(w) = ways.iter_mut().find(|w| w.tag == id) {
-            w.stamp = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        // Miss: evict the first invalid way, else the LRU one.
-        self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.tag == 0 { 0 } else { w.stamp + 1 })
-            .expect("ways > 0");
-        *victim = Way {
-            tag: id,
-            stamp: self.tick,
-        };
-        false
+        let base = self.set_of(id - 1) * self.ways;
+        let ways = &mut self.tags[base..base + self.ways];
+        // A hit moves the way to the front; a miss fills the first
+        // invalid way, else the LRU one, and moves it to the front.
+        let hit = ways.contains(&id);
+        let want = if hit { id } else { 0 };
+        let way = ways
+            .iter()
+            .position(|&t| t == want)
+            .unwrap_or(self.ways - 1);
+        ways[way] = id;
+        ways[..=way].rotate_right(1);
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Invalidates (`page`, `line`) if present (coherence write from
     /// another CPU). Returns `true` when a line was dropped.
     pub fn invalidate(&mut self, page: VirtPage, line: u16) -> bool {
         let id = self.line_id(page, line) + 1;
-        let set = self.set_of(id - 1);
-        let base = set * self.ways;
-        match self.lines[base..base + self.ways]
+        let base = self.set_of(id - 1) * self.ways;
+        match self.tags[base..base + self.ways]
             .iter_mut()
-            .find(|w| w.tag == id)
+            .find(|t| **t == id)
         {
-            Some(w) => {
-                w.tag = 0;
+            Some(t) => {
+                *t = 0;
                 true
             }
             None => false,

@@ -16,10 +16,10 @@ const PAPER_LINES_PER_PAGE: u32 = 32;
 /// This table is consulted on every simulated write and every L2 fill,
 /// so it is built for the hot path. Virtual pages are small dense
 /// integers, so a line's sharing vector is found by direct indexing, not
-/// hashing: all vectors live in one flat `Vec<u64>` arena at
+/// hashing: all vectors live in one flat `Vec<u8>` arena at
 /// `(page × lines_per_page + line) × stride`, grown on demand to the
-/// highest line touched. A ≤64-processor machine uses one word per line;
-/// a 1024-processor machine uses 16 — and in both cases
+/// highest line touched. The paper's 8-processor machine uses one byte
+/// per line; a 1024-processor machine uses 128 — and in every case
 /// [`write`](CoherenceDir::write) fills a caller-owned [`ProcSet`]
 /// scratch, so the per-reference path allocates only when the arena grows.
 ///
@@ -38,17 +38,17 @@ const PAPER_LINES_PER_PAGE: u32 = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoherenceDir {
-    /// Sharing vectors, `stride` words per line, indexed by line number.
-    words: Vec<u64>,
-    /// Words per sharing vector (`ceil(max_procs / 64)`).
+    /// Sharing vectors, `stride` bytes per line; `p` is bit `p % 8` of byte `p / 8`.
+    bytes: Vec<u8>,
+    /// Bytes per sharing vector (`ceil(max_procs / 8)`).
     stride: usize,
     lines_per_page: usize,
     max_procs: u16,
 }
 
 impl CoherenceDir {
-    /// An empty directory for the paper's machine sizes (up to 64
-    /// processors, one word per line — the historical footprint).
+    /// An empty directory for up to 64 processors (eight bytes per
+    /// line).
     pub fn new() -> CoherenceDir {
         CoherenceDir::with_procs(64)
     }
@@ -80,8 +80,8 @@ impl CoherenceDir {
             ProcSet::MAX_PROCS
         );
         CoherenceDir {
-            words: Vec::new(),
-            stride: procs.div_ceil(64) as usize,
+            bytes: Vec::new(),
+            stride: procs.div_ceil(8) as usize,
             lines_per_page: lines_per_page as usize,
             max_procs: procs,
         }
@@ -119,8 +119,8 @@ impl CoherenceDir {
     #[inline]
     fn base_grown(&mut self, page: VirtPage, line: u16) -> usize {
         let base = self.base(page, line);
-        if base + self.stride > self.words.len() {
-            self.words.resize(base + self.stride, 0);
+        if base + self.stride > self.bytes.len() {
+            self.bytes.resize(base + self.stride, 0);
         }
         base
     }
@@ -134,7 +134,7 @@ impl CoherenceDir {
     pub fn record_fill(&mut self, proc: ProcId, page: VirtPage, line: u16) {
         self.check(proc);
         let base = self.base_grown(page, line);
-        self.words[base + proc.index() / 64] |= 1u64 << (proc.index() % 64);
+        self.bytes[base + proc.index() / 8] |= 1 << (proc.index() % 8);
     }
 
     /// Records that `proc` lost (`page`, `line`) to eviction.
@@ -146,8 +146,8 @@ impl CoherenceDir {
     pub fn record_evict(&mut self, proc: ProcId, page: VirtPage, line: u16) {
         self.check(proc);
         let base = self.base(page, line);
-        if let Some(w) = self.words.get_mut(base + proc.index() / 64) {
-            *w &= !(1u64 << (proc.index() % 64));
+        if let Some(b) = self.bytes.get_mut(base + proc.index() / 8) {
+            *b &= !(1 << (proc.index() % 8));
         }
     }
 
@@ -167,15 +167,19 @@ impl CoherenceDir {
         let dst = victims.words_mut();
         assert_eq!(
             dst.len(),
-            stride,
+            stride.div_ceil(8),
             "victim set sized for a different machine"
         );
-        let vector = &mut self.words[base..base + stride];
-        dst.copy_from_slice(vector);
-        let (w, b) = (proc.index() / 64, proc.index() % 64);
-        dst[w] &= !(1u64 << b);
+        let vector = &mut self.bytes[base..base + stride];
+        // Little-endian: bytes `8w..8w + 8` of the vector are word `w`.
+        for (word, chunk) in dst.iter_mut().zip(vector.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *word = u64::from_le_bytes(le);
+        }
+        dst[proc.index() / 64] &= !(1u64 << (proc.index() % 64));
         vector.fill(0);
-        vector[w] = 1u64 << b;
+        vector[proc.index() / 8] = 1 << (proc.index() % 8);
     }
 
     /// Holders of (`page`, `line`), lowest processor first. Diagnostic
@@ -186,18 +190,13 @@ impl CoherenceDir {
     /// Panics if `line` is beyond the page.
     pub fn holders_of(&self, page: VirtPage, line: u16) -> Vec<ProcId> {
         let base = self.base(page, line);
-        let Some(vector) = self.words.get(base..base + self.stride) else {
+        let Some(vector) = self.bytes.get(base..base + self.stride) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for (wi, &word) in vector.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                out.push(ProcId((wi * 64 + w.trailing_zeros() as usize) as u16));
-                w &= w - 1;
-            }
-        }
-        out
+        (0..vector.len() * 8)
+            .filter(|&p| vector[p / 8] & (1 << (p % 8)) != 0)
+            .map(|p| ProcId(p as u16))
+            .collect()
     }
 }
 
@@ -289,7 +288,7 @@ mod tests {
     fn lines_are_indexed_densely_without_aliasing() {
         // The last line of one page and the first of the next are
         // adjacent in the arena; a 256-processor machine gives each
-        // line four words, so a stride slip would show up as a
+        // line 32 bytes, so a stride slip would show up as a
         // neighbour's holder.
         let mut d = CoherenceDir::with_procs(256);
         d.record_fill(ProcId(200), VirtPage(1), 31);

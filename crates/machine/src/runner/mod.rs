@@ -188,13 +188,11 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     /// earlier window resolves even when its `FirstTouch` event is
     /// still queued.
     overlay: FxHashMap<(Pid, VirtPage), NodeId>,
-    /// Per-CPU window event queues in `(time, seq)` order: the events
-    /// a merge left for later (stamped past its window), then the next
-    /// window's lane events appended after them.
+    /// Per-CPU window event queues in time order: the events a merge
+    /// left for later (stamped past its window), then the next window's
+    /// lane events appended after them. Within one CPU, the queue
+    /// position orders equal times.
     queues: Vec<Vec<WinEv>>,
-    /// Per-CPU event sequence numbers; never reset, so `(cpu, seq)` is
-    /// unique across the whole run and the merge order total.
-    lane_seq: Vec<u64>,
 }
 
 impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
@@ -264,7 +262,6 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             obs_epoch: 0,
             overlay: FxHashMap::default(),
             queues: (0..procs).map(|_| Vec::new()).collect(),
-            lane_seq: vec![0; procs],
             obs,
             prof,
             faults,

@@ -9,11 +9,11 @@
 //! snapshot at the window start, the window bounds): it owns its TLB,
 //! L2, clock, reference stream and RNG, reads the pager and topology
 //! immutably, and queues everything else — first touches, coherence
-//! writes and fills, policy-driving miss events — as [`Ev`] values
-//! stamped `(time, cpu, seq)`. Each CPU keeps one event queue, already
-//! in `(time, seq)` order (a lane clock only moves forward); the merge
-//! replays the queues in `(time, cpu, seq)` order through a k-way heap
-//! merge on the coordinating thread, so the result depends only on the
+//! writes and fills, policy-driving miss events — as [`WinEv`] values
+//! stamped with the lane clock. Each CPU keeps one event queue, already
+//! in time order (a lane clock only moves forward); the merge replays
+//! the queues in `(time, cpu, queue position)` order through a k-way
+//! heap merge on the coordinating thread, so the result depends only on the
 //! *window size*, never on how lanes are grouped onto host threads.
 //! `--shards 1` and `--shards 8` are the same computation with
 //! different thread placement; reports are byte-identical by
@@ -44,8 +44,8 @@ use ccnuma_obs::{Phase, Profiler, Recorder};
 use ccnuma_stats::RunBreakdown;
 use ccnuma_trace::{MissRecord, MissSource};
 use ccnuma_types::{
-    AccessKind, FxHashMap, MachineConfig, MemAccess, Mode, NodeId, Ns, Pid, ProcId, SimError,
-    Topology, VirtPage,
+    AccessKind, FxHashMap, MachineConfig, MemAccess, Mode, NodeId, Ns, Pid, ProcId, ProcSet,
+    RefClass, SimError, Topology, VirtPage,
 };
 use ccnuma_workloads::ProcessStream;
 use rand::rngs::SmallRng;
@@ -58,65 +58,67 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 /// boundary.
 pub(super) const WINDOW: Ns = Ns(100_000);
 
-/// One deferred cross-CPU interaction, replayed at merge time.
-pub(super) enum Ev {
-    /// A lane first-touched an unmapped page; the merge allocates it
-    /// (with the §7.2.3 reclaim-then-retry pressure response).
-    FirstTouch {
-        /// Touching process.
-        pid: Pid,
-        /// The touched page.
-        page: VirtPage,
-        /// Home node the lane decided (first-touch or round-robin).
-        home: NodeId,
-    },
+/// Merge keys are `time << CPU_BITS | cpu`; every CPU index fits.
+const CPU_BITS: u32 = 10;
+const _: () = assert!(ProcSet::MAX_PROCS as u64 <= 1 << CPU_BITS);
+
+/// What a [`WinEv`] asks the merge to do.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Tag {
+    /// A first touch of an unmapped page: the merge allocates it at
+    /// `home` (with the §7.2.3 reclaim-then-retry pressure response).
+    FirstTouch,
     /// A TLB refill: recorded, traced, and fed to the policy engine.
-    Tlb {
-        /// The miss record (timestamped with the lane clock).
-        rec: MissRecord,
-    },
+    Tlb,
     /// A secondary-cache miss: recorded, traced, policy-driven, and
-    /// queued at the home node's directory controller during the
-    /// merge (the lane charges the uncontended latency; the canonical
-    /// replay computes the queueing delay and defers it to the CPU's
-    /// next window).
-    Miss {
-        /// The miss record.
-        rec: MissRecord,
-        /// Uncontended miss latency the lane charged.
-        latency: Ns,
-        /// Home node of the page (where the directory request lands).
-        home: NodeId,
-        /// Whether the miss went off-node.
-        remote: bool,
-    },
+    /// queued at `home`'s directory controller during the merge (the
+    /// lane charges the uncontended latency; the canonical replay
+    /// computes the queueing delay and defers it to the CPU's next
+    /// window).
+    Miss,
     /// A write hit the coherence directory: invalidate other sharers.
-    CohWrite {
-        /// Written page.
-        page: VirtPage,
-        /// Written line within the page.
-        line: u16,
-    },
+    CohWrite,
     /// A clean fill: record the sharer in the coherence directory.
-    CohFill {
-        /// Filled page.
-        page: VirtPage,
-        /// Filled line.
-        line: u16,
-    },
+    CohFill,
 }
 
-/// An [`Ev`] with its canonical merge key.
+/// One deferred cross-CPU interaction, replayed at merge time. The CPU
+/// is the queue the event sits in; the replay rebuilds the miss record,
+/// latency and remote flag from the CPU's node, `home` and the
+/// immutable topology, exactly as the lane computed them.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct WinEv {
-    /// Lane clock when the event was emitted.
-    pub time: Ns,
-    /// Emitting CPU.
-    pub cpu: u16,
-    /// Per-CPU sequence number, never reset: `(time, cpu, seq)` is a
-    /// strict total order over all events of a run.
-    pub seq: u64,
-    /// The deferred interaction.
-    pub ev: Ev,
+    /// Lane clock when the event was emitted (the miss record's time).
+    time: Ns,
+    page: VirtPage,
+    pid: Pid,
+    line: u16,
+    /// The first-touch home, or the missed page's home node.
+    home: NodeId,
+    tag: Tag,
+    /// The access's kind, mode and class: bits 0, 1 and 2 are set for
+    /// a write, kernel mode and an instruction fetch.
+    bits: u8,
+}
+
+impl WinEv {
+    /// The access the event was emitted for.
+    fn access(&self) -> MemAccess {
+        MemAccess {
+            pid: self.pid,
+            page: self.page,
+            line: self.line,
+            kind: [AccessKind::Read, AccessKind::Write][usize::from(self.bits & 1)],
+            mode: [Mode::User, Mode::Kernel][usize::from(self.bits >> 1 & 1)],
+            class: [RefClass::Data, RefClass::Instr][usize::from(self.bits >> 2 & 1)],
+        }
+    }
+
+    /// The miss record the lane would have built on `cpu`.
+    fn record(&self, cpu: usize, source: MissSource) -> MissRecord {
+        let proc = ProcId(cpu as u16);
+        miss_record(self.time, proc, self.pid, &self.access(), source)
+    }
 }
 
 /// Shared read-only context every lane sees during one window: the
@@ -127,7 +129,7 @@ struct LaneCtx<'a> {
     pager: &'a ccnuma_kernel::Pager,
     overlay: &'a FxHashMap<(Pid, VirtPage), NodeId>,
     rr_nodes: Option<u16>,
-    /// Whether anything consumes [`Ev::Tlb`] (a recorder, trace
+    /// Whether anything consumes [`Tag::Tlb`] (a recorder, trace
     /// capture, or a TLB-source metric); otherwise the replay would
     /// drop every one, so lanes do not emit them.
     tlb_events: bool,
@@ -150,19 +152,23 @@ struct Lane {
     local_lat_sum: Ns,
     local_lat_n: u64,
     refs: u64,
-    seq: u64,
     events: Vec<WinEv>,
 }
 
 impl Lane {
-    /// Queues `ev`, stamped with the lane clock.
-    fn emit(&mut self, ev: Ev) {
-        self.seq += 1;
+    /// Queues a `tag` event for `access`, stamped with the lane clock.
+    fn emit(&mut self, tag: Tag, pid: Pid, access: &MemAccess, home: NodeId) {
+        let bits = u8::from(access.kind.is_write())
+            | u8::from(access.mode.is_kernel()) << 1
+            | u8::from(access.class.is_instr()) << 2;
         self.events.push(WinEv {
             time: self.clock,
-            cpu: self.cpu,
-            seq: self.seq,
-            ev,
+            page: access.page,
+            pid,
+            line: access.line,
+            home,
+            tag,
+            bits,
         });
     }
 
@@ -205,21 +211,20 @@ impl Lane {
             {
                 let home = first_touch_home(ctx.rr_nodes, page, my_node);
                 self.touched.insert(key, home);
-                self.emit(Ev::FirstTouch { pid, page, home });
+                self.emit(Tag::FirstTouch, pid, &access, home);
             }
             self.breakdown.add_busy(Mode::Kernel, TLB_REFILL);
             self.clock += TLB_REFILL;
             if ctx.tlb_events {
-                let rec = miss_record(self.clock, ProcId(self.cpu), pid, &access, MissSource::Tlb);
-                self.emit(Ev::Tlb { rec });
+                self.emit(Tag::Tlb, pid, &access, my_node);
             }
         }
 
         let hit = self.l2.access(page, line);
         if access.kind == AccessKind::Write {
-            self.emit(Ev::CohWrite { page, line });
+            self.emit(Tag::CohWrite, pid, &access, my_node);
         } else if !hit {
-            self.emit(Ev::CohFill { page, line });
+            self.emit(Tag::CohFill, pid, &access, my_node);
         }
 
         if hit {
@@ -236,28 +241,15 @@ impl Lane {
             .or_else(|| self.touched.get(&(pid, page)).copied())
             .expect("page mapped by a prior touch");
         let tier = ctx.topo.tier(my_node, home);
-        let remote = tier.is_off_node();
         let latency = ctx.topo.latency(my_node, home, access.kind);
         self.breakdown
             .add_stall_tier(access.mode, access.class, tier, latency);
         self.clock += latency;
-        if !remote {
+        if !tier.is_off_node() {
             self.local_lat_sum += latency;
             self.local_lat_n += 1;
         }
-        let rec = miss_record(
-            self.clock,
-            ProcId(self.cpu),
-            pid,
-            &access,
-            MissSource::Cache,
-        );
-        self.emit(Ev::Miss {
-            rec,
-            latency,
-            home,
-            remote,
-        });
+        self.emit(Tag::Miss, pid, &access, home);
     }
 }
 
@@ -318,7 +310,6 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     local_lat_sum: Ns::ZERO,
                     local_lat_n: 0,
                     refs: 0,
-                    seq: self.lane_seq[cpu],
                     events: std::mem::take(&mut self.queues[cpu]),
                 }
             })
@@ -338,7 +329,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     .is_some_and(|m| m.source() == MissSource::Tlb),
             end,
         };
-        let span = self.prof.enter(Phase::Memory);
+        let span = self.prof.enter(Phase::Lanes);
         if shards <= 1 {
             for lane in &mut lanes {
                 lane.run_window(&ctx);
@@ -359,7 +350,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 }
             });
         }
-        self.prof.exit(Phase::Memory, span);
+        self.prof.exit(Phase::Lanes, span);
 
         // Fold lane state back in CPU order (deterministic float sums),
         // then replay the queued events in canonical order.
@@ -370,8 +361,14 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         for mut lane in lanes {
             let cpu = lane.cpu as usize;
             consumed += lane.refs;
+            // Every event the lane queued is stamped at or before its
+            // clock, so this bounds the merge keys of the whole window.
+            assert!(
+                lane.clock.0 < 1 << (64 - CPU_BITS),
+                "cpu {cpu}: simulated time {} ns overflows the window merge key",
+                lane.clock.0
+            );
             self.clocks[cpu] = lane.clock;
-            self.lane_seq[cpu] = lane.seq;
             self.breakdown.merge(&lane.breakdown);
             self.local_lat_sum += lane.local_lat_sum;
             self.local_lat_n += lane.local_lat_n;
@@ -382,10 +379,8 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 self.overlay.entry(k).or_insert(v);
             }
             debug_assert!(
-                lane.events
-                    .windows(2)
-                    .all(|w| (w[0].time, w[0].seq) < (w[1].time, w[1].seq)),
-                "cpu {cpu}: queue out of (time, seq) order"
+                lane.events.windows(2).all(|w| w[0].time <= w[1].time),
+                "cpu {cpu}: queue out of time order"
             );
             self.queues[cpu] = lane.events;
             tlbs.push(lane.tlb);
@@ -394,7 +389,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         self.tlb = tlbs;
         self.l2 = l2s;
         // Events stamped at or past the window end stay queued for a
-        // later merge. Queues stay `(time, seq)`-sorted across windows:
+        // later merge. Queues stay time-sorted across windows:
         // lane clocks only move forward, the replay only adds waits to
         // them, and every lane clock is >= `end` now, so the next
         // window's events sort after everything carried.
@@ -417,43 +412,39 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// when `None`) in canonical order.
     fn merge(&mut self, end: Option<Ns>) -> Result<(), SimError> {
         let mut queues = std::mem::take(&mut self.queues);
-        let outcome = kway_merge(&mut queues, end, |wev| self.replay(wev));
+        let outcome = kway_merge(&mut queues, end, |cpu, ev| self.replay(cpu, ev));
         self.queues = queues;
         outcome
     }
 
-    /// Applies one lane event to the canonical state. Mirrors the
-    /// corresponding arms of the serial `Sim::step`.
-    fn replay(&mut self, wev: &WinEv) -> Result<(), SimError> {
-        let cpu = wev.cpu as usize;
-        match wev.ev {
+    /// Applies one event of `cpu`'s lane to the canonical state.
+    /// Mirrors the corresponding arms of the serial `Sim::step`.
+    fn replay(&mut self, cpu: usize, ev: &WinEv) -> Result<(), SimError> {
+        let (page, line) = (ev.page, ev.line);
+        match ev.tag {
             // Another event (same page, earlier in canonical order) may
             // have mapped it already; first writer wins.
-            Ev::FirstTouch { pid, page, home } => self.first_touch(pid, page, home),
-            Ev::Tlb { rec } => {
+            Tag::FirstTouch => self.first_touch(ev.pid, page, ev.home),
+            Tag::Tlb => {
+                let rec = ev.record(cpu, MissSource::Tlb);
                 self.obs.on_tlb_fill(&rec, TLB_REFILL);
                 self.observe(&rec)
             }
-            Ev::CohWrite { page, line } => {
+            Tag::CohWrite => {
                 let span = self.prof.enter(Phase::Coherence);
                 self.coherence
-                    .write(ProcId(wev.cpu), page, line, &mut self.victims);
+                    .write(ProcId(cpu as u16), page, line, &mut self.victims);
                 for victim in self.victims.iter() {
                     self.l2[victim.index()].invalidate(page, line);
                 }
                 self.prof.exit(Phase::Coherence, span);
                 Ok(())
             }
-            Ev::CohFill { page, line } => {
-                self.coherence.record_fill(ProcId(wev.cpu), page, line);
+            Tag::CohFill => {
+                self.coherence.record_fill(ProcId(cpu as u16), page, line);
                 Ok(())
             }
-            Ev::Miss {
-                rec,
-                latency,
-                home,
-                remote,
-            } => {
+            Tag::Miss => {
                 // Queue the request at the canonical directory in merge
                 // order — the single place every CPU's misses contend,
                 // exactly as in the serial loop. The lane already
@@ -461,9 +452,12 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 // lands on the CPU's clock here, before its next
                 // window (a one-window deferral, the price of relaxed
                 // synchronization).
-                let wait = self.directory.request(wev.time, home, remote);
+                let rec = ev.record(cpu, MissSource::Cache);
+                let node = self.node_of(cpu);
+                let tier = self.topo.tier(node, ev.home);
+                let remote = tier.is_off_node();
+                let wait = self.directory.request(ev.time, ev.home, remote);
                 if wait > Ns::ZERO {
-                    let tier = self.topo.tier(self.node_of(cpu), home);
                     self.breakdown
                         .add_contention_stall(rec.mode, rec.class, tier, wait);
                     self.clocks[cpu] += wait;
@@ -471,6 +465,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                         self.local_lat_sum += wait;
                     }
                 }
+                let latency = self.topo.latency(node, ev.home, rec.kind);
                 self.obs.on_miss(&rec, latency + wait, remote);
                 self.observe(&rec)
             }
@@ -479,33 +474,34 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
 }
 
 /// Hands `replay` every queued event stamped before `end` (every event
-/// when `None`) in `(time, cpu, seq)` order, then drains each queue's
-/// replayed prefix: what is left is the next merge's carry. Each queue
-/// must be `(time, seq)`-sorted, so the heap holds just one entry per
-/// CPU — its queue head — and `(time, cpu)` orders it: O(log P) per
-/// event instead of a global sort.
+/// when `None`), with its CPU, in `(time, cpu, queue position)` order,
+/// then drains each queue's replayed prefix: what is left is the next
+/// merge's carry. Each queue must be time-sorted, so the heap holds
+/// just one key per CPU — its queue head's `time << CPU_BITS | cpu` —
+/// and orders it: O(log P) per event instead of a global sort.
 fn kway_merge(
     queues: &mut [Vec<WinEv>],
     end: Option<Ns>,
-    mut replay: impl FnMut(&WinEv) -> Result<(), SimError>,
+    mut replay: impl FnMut(usize, &WinEv) -> Result<(), SimError>,
 ) -> Result<(), SimError> {
     let due = |e: &&WinEv| end.is_none_or(|end| e.time < end);
+    let key = |e: &WinEv, cpu: usize| Reverse(e.time.0 << CPU_BITS | cpu as u64);
     let mut next = vec![0usize; queues.len()];
-    let mut heap: BinaryHeap<Reverse<(Ns, usize)>> = queues
+    let mut heap: BinaryHeap<Reverse<u64>> = queues
         .iter()
         .enumerate()
-        .filter_map(|(cpu, q)| q.first().filter(due).map(|e| Reverse((e.time, cpu))))
+        .filter_map(|(cpu, q)| q.first().filter(due).map(|e| key(e, cpu)))
         .collect();
     let mut outcome = Ok(());
     while let Some(mut head) = heap.peek_mut() {
-        let Reverse((_, cpu)) = *head;
+        let cpu = (head.0 & ((1 << CPU_BITS) - 1)) as usize;
         let i = next[cpu];
         next[cpu] += 1;
         match queues[cpu].get(i + 1).filter(due) {
-            Some(e) => *head = Reverse((e.time, cpu)),
+            Some(e) => *head = key(e, cpu),
             None => drop(PeekMut::pop(head)),
         }
-        outcome = replay(&queues[cpu][i]);
+        outcome = replay(cpu, &queues[cpu][i]);
         if outcome.is_err() {
             break;
         }
@@ -519,22 +515,34 @@ fn kway_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccnuma_types::VirtPage;
     use rand::{Rng, SeedableRng};
 
-    fn replay_order(queues: &mut [Vec<WinEv>], end: Option<Ns>) -> Vec<(Ns, u16, u64)> {
+    /// A `CohFill` event whose page carries its queue position.
+    fn event(time: u64, pos: u64) -> WinEv {
+        WinEv {
+            time: Ns(time),
+            page: VirtPage(pos),
+            pid: Pid(0),
+            line: 0,
+            home: NodeId(0),
+            tag: Tag::CohFill,
+            bits: 0,
+        }
+    }
+
+    fn replay_order(queues: &mut [Vec<WinEv>], end: Option<Ns>) -> Vec<(Ns, usize, u64)> {
         let mut order = Vec::new();
-        kway_merge(queues, end, |e| {
-            order.push((e.time, e.cpu, e.seq));
+        kway_merge(queues, end, |cpu, e| {
+            order.push((e.time, cpu, e.page.0));
             Ok(())
         })
         .expect("the test replay never fails");
         order
     }
 
-    /// Over several windows, each appending `(time, seq)`-sorted lane
-    /// events behind the carry, the k-way replay order equals the
-    /// global `(time, cpu, seq)` sort of everything queued, cut at
+    /// Over several windows, each appending time-sorted lane events
+    /// behind the carry, the k-way replay order equals the global
+    /// `(time, cpu, queue position)` sort of everything queued, cut at
     /// `end`; the bound-less flush replays the rest in that order too.
     #[test]
     fn kway_merge_matches_global_sort() {
@@ -543,28 +551,19 @@ mod tests {
         for _ in 0..200 {
             let cpus = rng.gen_range(1..10usize);
             let mut queues: Vec<Vec<WinEv>> = (0..cpus).map(|_| Vec::new()).collect();
-            let (mut clocks, mut seqs, mut pool, mut end) =
+            let (mut clocks, mut pushed, mut pool, mut end) =
                 (vec![0; cpus], vec![0; cpus], vec![], 0);
             for _ in 0..4 {
                 for cpu in 0..cpus {
                     // Lane clocks resume at the last window end; small
-                    // steps make equal timestamps across CPUs common.
+                    // steps make equal timestamps, across CPUs and
+                    // within one, common.
                     clocks[cpu] = u64::max(clocks[cpu], end);
                     for _ in 0..rng.gen_range(0..30u32) {
                         clocks[cpu] += rng.gen_range(0..3u64);
-                        seqs[cpu] += 1;
-                        let (time, cpu16, seq) = (Ns(clocks[cpu]), cpu as u16, seqs[cpu]);
-                        let ev = Ev::CohFill {
-                            page: VirtPage(0),
-                            line: 0,
-                        };
-                        queues[cpu].push(WinEv {
-                            time,
-                            cpu: cpu16,
-                            seq,
-                            ev,
-                        });
-                        pool.push((time, cpu16, seq));
+                        queues[cpu].push(event(clocks[cpu], pushed[cpu]));
+                        pool.push((Ns(clocks[cpu]), cpu, pushed[cpu]));
+                        pushed[cpu] += 1;
                     }
                 }
                 end += rng.gen_range(0..40u64);
@@ -578,5 +577,66 @@ mod tests {
             assert!(queues.iter().all(Vec::is_empty));
         }
         assert!(carried > 100, "too few windows carried events: {carried}");
+    }
+
+    /// The merge key keeps the CPU out of the time bits at the largest
+    /// machine and the latest admissible time.
+    #[test]
+    fn merge_keys_order_the_largest_machine() {
+        let last = usize::from(ProcSet::MAX_PROCS) - 1;
+        let late = (1 << (64 - CPU_BITS)) - 1;
+        let mut queues = vec![Vec::new(); last + 1];
+        queues[last].push(event(late - 1, 0));
+        queues[0].push(event(late, 0));
+        queues[last].push(event(late, 1));
+        assert_eq!(
+            replay_order(&mut queues, None),
+            [
+                (Ns(late - 1), last, 0),
+                (Ns(late), 0, 0),
+                (Ns(late), last, 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn window_events_fit_in_32_bytes() {
+        assert!(std::mem::size_of::<WinEv>() <= 32);
+    }
+
+    /// Every kind/mode/class combination survives the event's bit byte.
+    #[test]
+    fn events_rebuild_their_access() {
+        for bits in 0..8u8 {
+            let access = MemAccess {
+                pid: Pid(3),
+                page: VirtPage(1 << 40),
+                line: 31,
+                kind: [AccessKind::Read, AccessKind::Write][usize::from(bits & 1)],
+                mode: [Mode::User, Mode::Kernel][usize::from(bits >> 1 & 1)],
+                class: [RefClass::Data, RefClass::Instr][usize::from(bits >> 2)],
+            };
+            let mut lane = Lane {
+                cpu: 5,
+                clock: Ns(77),
+                pid: None,
+                tlb: Tlb::new(&MachineConfig::cc_numa()),
+                l2: L2Cache::new(&MachineConfig::cc_numa()),
+                slot: None,
+                breakdown: RunBreakdown::new(),
+                touched: FxHashMap::default(),
+                local_lat_sum: Ns::ZERO,
+                local_lat_n: 0,
+                refs: 0,
+                events: Vec::new(),
+            };
+            lane.emit(Tag::Miss, Pid(3), &access, NodeId(2));
+            let ev = lane.events[0];
+            assert_eq!(ev.access(), access);
+            assert_eq!(
+                ev.record(5, MissSource::Cache),
+                miss_record(Ns(77), ProcId(5), Pid(3), &access, MissSource::Cache)
+            );
+        }
     }
 }

@@ -55,6 +55,60 @@ impl ModelTlb {
     }
 }
 
+/// The stamp-based LRU the [`L2Cache`] used to be: every way keeps the
+/// tick of its last access, a miss fills the first invalid way or else
+/// the way with the smallest stamp.
+struct ModelL2 {
+    sets: u64,
+    ways: usize,
+    /// `(tag, stamp)` per way; tag is line id + 1, 0 when invalid.
+    lines: Vec<(u64, u64)>,
+    tick: u64,
+}
+
+impl ModelL2 {
+    fn new(cfg: &MachineConfig) -> ModelL2 {
+        let (sets, ways) = (u64::from(cfg.l2_sets()), cfg.l2_ways as usize);
+        ModelL2 {
+            sets,
+            ways,
+            lines: vec![(0, 0); sets as usize * ways],
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, id: u64) -> &mut [(u64, u64)] {
+        let base = ((id - 1) % self.sets) as usize * self.ways;
+        &mut self.lines[base..base + self.ways]
+    }
+
+    fn access(&mut self, id: u64) -> bool {
+        self.tick += 1;
+        let tick = self.tick;
+        let set = self.set(id);
+        if let Some(way) = set.iter_mut().find(|w| w.0 == id) {
+            way.1 = tick;
+            return true;
+        }
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| if w.0 == 0 { 0 } else { w.1 + 1 })
+            .expect("ways > 0");
+        *victim = (id, tick);
+        false
+    }
+
+    fn invalidate(&mut self, id: u64) -> bool {
+        match self.set(id).iter_mut().find(|w| w.0 == id) {
+            Some(way) => {
+                way.0 = 0;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
 proptest! {
     /// The L2 obeys inclusion of recency: an access immediately followed
     /// by the same access always hits, and hit+miss counts equal accesses.
@@ -70,6 +124,46 @@ proptest! {
         }
         prop_assert_eq!(l2.hits() + l2.misses(), n);
         prop_assert!(l2.miss_ratio() <= 0.5);
+    }
+
+    /// The MRU-ordered L2 agrees with the stamp-based LRU model on every
+    /// hit, miss and invalidation, at 1, 2 and 4 ways, over interleaved
+    /// accesses and invalidations. A small cache (64 lines) keeps sets
+    /// full and conflicting; half the pages are sparse, up to 2^20.
+    #[test]
+    fn l2_matches_reference_lru_model(
+        ways in 0usize..3,
+        events in proptest::collection::vec(
+            (0u8..4, 0u64..24, 0u64..(1 << 20), proptest::bool::ANY, 0u16..32),
+            1..800,
+        ),
+    ) {
+        let cfg = MachineConfig {
+            l2_bytes: 64 * 128,
+            l2_ways: [1, 2, 4][ways],
+            ..MachineConfig::cc_numa()
+        };
+        cfg.validate().unwrap();
+        let mut l2 = L2Cache::new(&cfg);
+        let mut model = ModelL2::new(&cfg);
+        let lines_per_page = u64::from(cfg.lines_per_page());
+        for (kind, near, far, sparse, line) in events {
+            let page = if sparse { far } else { near };
+            let id = page * lines_per_page + u64::from(line) + 1;
+            if kind == 0 {
+                prop_assert_eq!(
+                    l2.invalidate(VirtPage(page), line),
+                    model.invalidate(id),
+                    "invalidate of page {} line {}", page, line
+                );
+            } else {
+                prop_assert_eq!(
+                    l2.access(VirtPage(page), line),
+                    model.access(id),
+                    "access of page {} line {}", page, line
+                );
+            }
+        }
     }
 
     /// The TLB never holds more than its capacity and its counters add up.
@@ -145,17 +239,21 @@ proptest! {
     /// The page-indexed coherence directory agrees with a naive
     /// `HashMap<line, HashSet<proc>>` model: fills and evicts track holder
     /// sets exactly, and a write's victim set is precisely the other
-    /// holders at that instant. Processors span several `ProcSet` words
-    /// (up to 160), exercising the lifted 64-processor cap.
+    /// holders at that instant. The processor count covers every arena
+    /// stride from 1 to 128 bytes, including partial bytes and words,
+    /// so `write` packs bytes into `ProcSet` words across word
+    /// boundaries.
     #[test]
     fn coherence_matches_reference_model(
-        events in proptest::collection::vec((0u8..4, 0u16..160, 0u64..12, 0u16..4), 1..600),
+        procs in 0usize..8,
+        events in proptest::collection::vec((0u8..4, 0u16..1024, 0u64..12, 0u16..4), 1..600),
     ) {
-        let mut dir = CoherenceDir::with_procs(160);
+        let procs = [1u16, 7, 8, 9, 64, 65, 160, 1024][procs];
+        let mut dir = CoherenceDir::with_procs(procs);
         let mut victims = ProcSet::with_capacity_for(dir.max_procs());
         let mut model: HashMap<(u64, u16), HashSet<u16>> = HashMap::new();
         for (kind, proc, page, line) in events {
-            let key = (page, line);
+            let (proc, key) = (proc % procs, (page, line));
             match kind {
                 0 => {
                     dir.record_evict(ProcId(proc), VirtPage(page), line);

@@ -99,10 +99,13 @@ pub enum Phase {
     /// (first touches, coherence writes, policy driving) in canonical
     /// order on the coordinating thread.
     Merge,
+    /// One window's lanes in sharded execution: every CPU advancing
+    /// through its references to the window end (timed every window).
+    Lanes,
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const PHASES: usize = 10;
+pub const PHASES: usize = 11;
 
 impl Phase {
     /// Every phase, in the canonical artifact order.
@@ -117,6 +120,7 @@ impl Phase {
         Phase::TraceDecode,
         Phase::Replay,
         Phase::Merge,
+        Phase::Lanes,
     ];
 
     /// Stable artifact name.
@@ -132,6 +136,7 @@ impl Phase {
             Phase::TraceDecode => "trace_decode",
             Phase::Replay => "replay",
             Phase::Merge => "merge",
+            Phase::Lanes => "lanes",
         }
     }
 

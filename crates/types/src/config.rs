@@ -1,6 +1,6 @@
 //! Machine configuration mirroring Section 5 of the paper.
 
-use crate::{ConfigError, Frame, NodeId, Ns, ProcId, Topology};
+use crate::{ConfigError, Frame, NodeId, Ns, ProcId, ProcSet, Topology};
 use core::fmt;
 
 /// The interconnect class being modelled.
@@ -256,7 +256,8 @@ impl MachineConfig {
     ///
     /// Returns a [`ConfigError`] naming the offending field when a field is
     /// zero, a size or the L2 set count is not a power of two, or the line
-    /// size exceeds the page size.
+    /// size exceeds the page size, and [`ConfigError::TooManyProcs`] when
+    /// the machine has more than [`ProcSet::MAX_PROCS`] processors.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn pow2(v: u32) -> bool {
             v != 0 && v & (v - 1) == 0
@@ -266,6 +267,14 @@ impl MachineConfig {
         }
         if self.procs_per_node == 0 {
             return Err(ConfigError::new("procs_per_node must be non-zero"));
+        }
+        // In u32: `procs()` multiplies in u16, which would wrap.
+        let procs = u32::from(self.nodes) * u32::from(self.procs_per_node);
+        if procs > u32::from(ProcSet::MAX_PROCS) {
+            return Err(ConfigError::TooManyProcs {
+                procs,
+                max: ProcSet::MAX_PROCS,
+            });
         }
         if !pow2(self.page_size) {
             return Err(ConfigError::new("page_size must be a power of two"));
@@ -405,6 +414,25 @@ mod tests {
         );
         c.l2_ways = 4;
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn validation_bounds_the_processor_count() {
+        let machine = |nodes, procs_per_node| MachineConfig {
+            nodes,
+            procs_per_node,
+            ..MachineConfig::cc_numa()
+        };
+        let too_many = |procs| ConfigError::TooManyProcs {
+            procs,
+            max: ProcSet::MAX_PROCS,
+        };
+        machine(128, 8).validate().unwrap();
+        assert_eq!(machine(128, 8).procs(), 1024);
+        assert_eq!(machine(25, 41).validate().unwrap_err(), too_many(1025));
+        // 300 × 300 wraps to 24464 in u16; validation sees the true count.
+        assert_eq!(machine(300, 300).validate().unwrap_err(), too_many(90_000));
+        assert!(too_many(1025).to_string().contains("1025 processors"));
     }
 
     #[test]

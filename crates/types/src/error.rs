@@ -55,6 +55,13 @@ pub enum ConfigError {
         /// The offending node.
         node: u16,
     },
+    /// `nodes × procs_per_node` exceeds [`crate::ProcSet::MAX_PROCS`].
+    TooManyProcs {
+        /// The requested processor count, computed without wrapping.
+        procs: u32,
+        /// The largest supported processor count.
+        max: u16,
+    },
     /// The topology's node count disagrees with `MachineConfig::nodes`.
     NodeCountMismatch {
         /// Nodes in the topology.
@@ -89,6 +96,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroLatency { node } => write!(
                 f,
                 "topology node {node} advertises zero memory device latency"
+            ),
+            ConfigError::TooManyProcs { procs, max } => write!(
+                f,
+                "nodes x procs_per_node is {procs} processors; at most {max} are supported"
             ),
             ConfigError::NodeCountMismatch { topology, machine } => write!(
                 f,
